@@ -587,8 +587,17 @@ let bench_cell_json (r : Experiment.cell_result) =
    Env knobs (for CI):
      NCG_BENCH_SMOKE=1     tiny grid, finishes in seconds
      NCG_BENCH_OUT=PATH    output path (default BENCH_experiment.json)
-     NCG_BENCH_TRACE=PATH  Chrome trace of the parallel sweep
-                           (default BENCH_experiment_trace.json) *)
+     NCG_BENCH_TRACE=PATH  Chrome trace of the parallel sweep (default
+                           BENCH_experiment_trace.json, next to
+                           NCG_BENCH_OUT when that is set) *)
+
+(* Default path of a bench side output: the directory of NCG_BENCH_OUT
+   when it is set, so pointing the bench elsewhere leaves nothing in the
+   working directory; the working directory otherwise. *)
+let beside_bench_out name =
+  match Sys.getenv_opt "NCG_BENCH_OUT" with
+  | Some out -> Filename.concat (Filename.dirname out) name
+  | None -> name
 
 let experiment () =
   section_header "experiment" "instrumented parallel sweep + BENCH_experiment.json";
@@ -596,7 +605,7 @@ let experiment () =
   let out = Option.value (Sys.getenv_opt "NCG_BENCH_OUT") ~default:"BENCH_experiment.json" in
   let trace_out =
     Option.value (Sys.getenv_opt "NCG_BENCH_TRACE")
-      ~default:"BENCH_experiment_trace.json"
+      ~default:(beside_bench_out "BENCH_experiment_trace.json")
   in
   let n = if smoke then 20 else 50 in
   let trials = if smoke then 2 else 5 in
@@ -952,8 +961,9 @@ let kernels () =
 
 (* --- Run-history JSONL --------------------------------------------------------------------- *)
 
-(* One line per bench invocation, appended to BENCH_history.jsonl
-   (override the path with NCG_BENCH_HISTORY): which sections ran and
+(* One line per bench invocation, appended to BENCH_history.jsonl (next
+   to NCG_BENCH_OUT when that is set; override the path with
+   NCG_BENCH_HISTORY): which sections ran and
    their wall seconds. `ncg_bench_diff --history FILE` prints the trend.
    Durations only — no wall-clock timestamps, so two runs of the same
    tree on the same machine produce comparable (not machine-unique)
@@ -963,7 +973,8 @@ let history_schema = Ncg_obs.Schema.bench_history
 
 let append_history entries =
   let path =
-    Option.value (Sys.getenv_opt "NCG_BENCH_HISTORY") ~default:"BENCH_history.jsonl"
+    Option.value (Sys.getenv_opt "NCG_BENCH_HISTORY")
+      ~default:(beside_bench_out "BENCH_history.jsonl")
   in
   let module Json = Ncg_obs.Json in
   let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 entries in

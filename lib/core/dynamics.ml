@@ -171,6 +171,10 @@ let run_untraced config strategy0 =
       (config.alpha *. float_of_int (Graph.size g)) +. float_of_int !sum_use
     else nan
   in
+  (* The last probed social cost: a round without moves leaves the graph
+     the previous probe measured, so its sample is reused instead of
+     paying another all-pairs pass. *)
+  let probed_cost = ref None in
   while !outcome = None && !round < config.max_rounds do
     incr round;
     Ncg_fault.Cancel.checkpoint ();
@@ -221,14 +225,19 @@ let run_untraced config strategy0 =
                       ("new_cost", Ncg_obs.Json.Float new_cost);
                     ];
                 strategy := strategy';
-                g := Strategy.graph strategy';
+                g := Strategy.graph_after_move strategy' ~before:!g u;
                 incr changes;
                 incr total_moves
             | None -> ())
           player_order;
         if probing then begin
           let x = float_of_int !round in
-          let sc = social_cost_now () in
+          let sc =
+            match !probed_cost with
+            | Some sc when !changes = 0 -> sc
+            | Some _ | None -> social_cost_now ()
+          in
+          probed_cost := Some sc;
           Ncg_obs.Probe.(sample social_cost) ~x sc;
           Ncg_obs.Probe.(sample awake_players) ~x (float_of_int !changes);
           Ncg_obs.Probe.(sample br_gap_max) ~x !gap_max;

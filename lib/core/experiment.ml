@@ -73,23 +73,11 @@ let run_one (config : Dynamics.config) strategy0 =
   let g = Strategy.graph final in
   let n = Strategy.n_players final in
   let bought = Array.init n (Strategy.bought_count final) in
-  let views = Features.view_sizes ~k:config.Dynamics.k g in
-  let social_cost =
-    match Game.social_cost config.Dynamics.variant ~alpha:config.Dynamics.alpha final with
-    | Some c -> c
-    | None -> nan
+  let alpha = config.Dynamics.alpha in
+  let summary =
+    Features.summarize config.Dynamics.variant ~alpha ~k:config.Dynamics.k final g
   in
-  let quality =
-    social_cost
-    /. Game.social_optimum config.Dynamics.variant ~alpha:config.Dynamics.alpha ~n
-  in
-  let unfairness =
-    match
-      Game.unfairness config.Dynamics.variant ~alpha:config.Dynamics.alpha final g
-    with
-    | Some u -> u
-    | None -> nan
-  in
+  let views = summary.Features.views in
   let converged, cycled, rounds =
     match result.Dynamics.outcome with
     | Dynamics.Converged r -> (true, false, r - 1)
@@ -101,15 +89,17 @@ let run_one (config : Dynamics.config) strategy0 =
     cycled;
     rounds;
     total_moves = result.Dynamics.total_moves;
-    quality;
-    unfairness;
-    diameter = (match Metrics.diameter g with Some d -> d | None -> -1);
+    quality =
+      summary.Features.social_cost
+      /. Game.social_optimum config.Dynamics.variant ~alpha ~n;
+    unfairness = summary.Features.unfairness;
+    diameter = summary.Features.diameter;
     max_degree = Metrics.max_degree g;
     max_bought = Ncg_util.Arrayx.max_elt bought;
     min_view = Ncg_util.Arrayx.min_elt views;
     avg_view =
       float_of_int (Ncg_util.Arrayx.sum views) /. float_of_int (Array.length views);
-    social_cost;
+    social_cost = summary.Features.social_cost;
   }
 
 (* Per-trial (and per-cell) seeds come from a SplitMix64 stream keyed on
@@ -276,7 +266,11 @@ module Json = Ncg_obs.Json
    series of the exemplar trial, new branch-and-bound cutoff counters
    registered (shape change), and probing's per-round social-cost BFS
    shifts bfs.calls — /4 records would disagree with a recompute on all
-   three. *)
+   three. /6: the end-of-trial statistics come from one all-pairs BFS
+   pass instead of four, the round loop updates the host graph in place
+   of rebuilding it, and view extraction no longer scans every player,
+   so bfs.calls and the GC deltas fall — a cached /5 cell would disagree
+   with a recompute on both, although every CSV byte is unchanged. *)
 let cell_payload_schema = Ncg_obs.Schema.store_cell
 
 let bool_of_json name = function

@@ -1,6 +1,12 @@
 module Graph = Ncg_graph.Graph
-module Bfs = Ncg_graph.Bfs
 module Metrics = Ncg_graph.Metrics
+
+type summary = {
+  views : int array;
+  diameter : int;
+  social_cost : float;
+  unfairness : float;
+}
 
 type t = {
   round : int;
@@ -17,22 +23,38 @@ type t = {
   avg_view : float;
 }
 
-let view_sizes ~k g =
-  Array.init (Graph.order g) (fun u -> List.length (Bfs.ball g u ~radius:k))
+let summarize variant ~alpha ~k strategy g =
+  let p = Metrics.distance_profile g ~radius:k in
+  let social_cost, unfairness =
+    if p.Metrics.connected then
+      Game.social_cost_and_unfairness ~alpha strategy
+        ~usage:
+          (match variant with
+          | Game.Max -> p.Metrics.eccentricities
+          | Game.Sum -> p.Metrics.statuses)
+    else (nan, nan)
+  in
+  {
+    views = p.Metrics.balls;
+    diameter =
+      (if p.Metrics.connected && Graph.order g > 0 then
+         Array.fold_left max 0 p.Metrics.eccentricities
+       else -1);
+    social_cost;
+    unfairness;
+  }
 
 let collect variant ~alpha ~k ~round ~changes strategy g =
   let n = Graph.order g in
   let bought = Array.init n (Strategy.bought_count strategy) in
-  let views = view_sizes ~k g in
+  let summary : summary = summarize variant ~alpha ~k strategy g in
+  let views = summary.views in
   let fsum a = float_of_int (Ncg_util.Arrayx.sum a) in
   {
     round;
     changes;
-    diameter = (match Metrics.diameter g with Some d -> d | None -> -1);
-    social_cost =
-      (match Game.social_cost variant ~alpha strategy with
-      | Some c -> c
-      | None -> nan);
+    diameter = summary.diameter;
+    social_cost = summary.social_cost;
     max_degree = Metrics.max_degree g;
     avg_degree = Metrics.avg_degree g;
     min_bought = Ncg_util.Arrayx.min_elt bought;

@@ -1,6 +1,15 @@
 (** Network features collected after every round of dynamics — the raw
     series behind Tables I–II and Figures 5–10. *)
 
+(** The end-of-round / end-of-trial statistics that need all-pairs
+    distances, from one {!Ncg_graph.Metrics.distance_profile} pass. *)
+type summary = {
+  views : int array;  (** |β_{G,k}(u)| for every u *)
+  diameter : int;  (** -1 if disconnected or empty *)
+  social_cost : float;  (** {!Game.social_cost}; [nan] if disconnected *)
+  unfairness : float;  (** {!Game.unfairness}; [nan] if disconnected *)
+}
+
 type t = {
   round : int;
   changes : int;  (** strategy changes performed during the round *)
@@ -28,8 +37,10 @@ val collect :
   Ncg_graph.Graph.t ->
   t
 
-(** [view_sizes ~k g] is |β_{G,k}(u)| for every u. *)
-val view_sizes : k:int -> Ncg_graph.Graph.t -> int array
+(** [summarize variant ~alpha ~k strategy g] — [g] must be
+    [Strategy.graph strategy]. *)
+val summarize :
+  Game.variant -> alpha:float -> k:int -> Strategy.t -> Ncg_graph.Graph.t -> summary
 
 (** Header and row for CSV output of a feature record. *)
 val csv_header : string

@@ -10,11 +10,11 @@ let usage variant g u =
   | Max -> Bfs.eccentricity g u
   | Sum -> Bfs.sum_distances g u
 
+let cost_of_usage ~alpha strategy u use =
+  (alpha *. float_of_int (Strategy.bought_count strategy u)) +. float_of_int use
+
 let player_cost variant ~alpha strategy g u =
-  Option.map
-    (fun use ->
-      (alpha *. float_of_int (Strategy.bought_count strategy u)) +. float_of_int use)
-    (usage variant g u)
+  Option.map (cost_of_usage ~alpha strategy u) (usage variant g u)
 
 let player_costs variant ~alpha strategy g =
   let n = Strategy.n_players strategy in
@@ -29,9 +29,20 @@ let player_costs variant ~alpha strategy g =
   done;
   if !ok then Some costs else None
 
+let sum_costs costs = Array.fold_left ( +. ) 0.0 costs
+
+let cost_ratio costs =
+  let mx = Array.fold_left max neg_infinity costs in
+  let mn = Array.fold_left min infinity costs in
+  if mn <= 0.0 then infinity else mx /. mn
+
 let social_cost variant ~alpha strategy =
   let g = Strategy.graph strategy in
-  Option.map (Array.fold_left ( +. ) 0.0) (player_costs variant ~alpha strategy g)
+  Option.map sum_costs (player_costs variant ~alpha strategy g)
+
+let social_cost_and_unfairness ~alpha strategy ~usage =
+  let costs = Array.mapi (cost_of_usage ~alpha strategy) usage in
+  (sum_costs costs, cost_ratio costs)
 
 let star_cost variant ~alpha ~n =
   if n = 1 then 0.0
@@ -70,9 +81,4 @@ let quality variant ~alpha strategy =
     (social_cost variant ~alpha strategy)
 
 let unfairness variant ~alpha strategy g =
-  Option.map
-    (fun costs ->
-      let mx = Array.fold_left max neg_infinity costs in
-      let mn = Array.fold_left min infinity costs in
-      if mn <= 0.0 then infinity else mx /. mn)
-    (player_costs variant ~alpha strategy g)
+  Option.map cost_ratio (player_costs variant ~alpha strategy g)

@@ -25,6 +25,14 @@ val player_costs :
 (** [social_cost variant ~alpha strategy] = Σ_u player_cost u. *)
 val social_cost : variant -> alpha:float -> Strategy.t -> float option
 
+(** [social_cost_and_unfairness ~alpha strategy ~usage] is the pair
+    ({!social_cost}, {!unfairness}) of a connected profile whose players'
+    usage terms ({!usage}: eccentricities under Max, statuses under Sum)
+    are already known — the same floats, folded in the same order, without
+    a BFS. *)
+val social_cost_and_unfairness :
+  alpha:float -> Strategy.t -> usage:int array -> float * float
+
 (** The reference social optimum used for the quality-of-equilibrium and
     PoA measurements: the better of the spanning star (optimal for α ≥ 1
     in Max, α ≥ 2 in Sum — the paper's regime of interest) and the clique

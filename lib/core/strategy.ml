@@ -60,6 +60,19 @@ let graph t =
     t.owned;
   Graph.of_edges ~n:t.n !edges
 
+let graph_after_move t ~before u =
+  check_player t.n u;
+  if Graph.order before <> t.n then
+    invalid_arg "Strategy.graph_after_move: graph order differs from player count";
+  (* Every in-buyer of u is adjacent to u in [before]: only u's own
+     purchases changed, and they are replaced wholesale by the star. *)
+  let star =
+    Graph.fold_neighbors
+      (fun v acc -> if List.mem u t.owned.(v) then v :: acc else acc)
+      before u t.owned.(u)
+  in
+  Graph.with_star before u (Array.of_list (List.sort_uniq Int.compare star))
+
 let random_orientation rng g =
   let buys =
     List.map

@@ -7,7 +7,8 @@
 
     Profiles are immutable; {!with_owned} copies. The profile — not the
     graph — is the source of truth in a game: the graph is always derived
-    from it with {!graph}. *)
+    from it, with {!graph} or, after a one-player change, with
+    {!graph_after_move}. *)
 
 type t
 
@@ -43,6 +44,17 @@ val in_buyers : t -> int -> int list
 
 (** The network G(σ). *)
 val graph : t -> Ncg_graph.Graph.t
+
+(** [graph_after_move t ~before u] is [graph t], given [before = graph s]
+    for a profile [s] that differs from [t] at most in player [u]'s
+    strategy (e.g. [t = with_owned s u targets]). [u]'s star in [before]
+    is replaced by her targets in [t] plus her in-buyers, which are read
+    off her neighbours in [before] — one {!Ncg_graph.Graph.with_star}
+    pass instead of {!graph}'s rebuild from the full edge list. This is
+    the dynamics engine's per-move graph update.
+    @raise Invalid_argument if [u] is out of range or [before] has the
+    wrong order. *)
+val graph_after_move : t -> before:Ncg_graph.Graph.t -> int -> Ncg_graph.Graph.t
 
 (** [random_orientation rng g] gives each edge of [g] to a uniformly random
     endpoint — the paper's protocol for initial trees and G(n,p) graphs. *)

@@ -18,9 +18,20 @@ let extract ?scratch strategy g ~k u =
   let graph, mapping = Subgraph.ball_induced ?scratch g u ~radius:k in
   let player = mapping.Subgraph.to_sub.(u) in
   let map_host v = mapping.Subgraph.to_sub.(v) in
-  (* Neighbours of u are at distance 1, hence always inside the ball. *)
+  (* Neighbours of u are at distance 1, hence always inside the ball, and
+     every in-buyer is a neighbour: reading them off u's star in H costs
+     O(deg u), not a scan of all n players. H's ascending segments keep
+     the list in increasing host order. *)
   let owned = List.map map_host (Strategy.owned strategy u) in
-  let in_buyers = List.map map_host (Strategy.in_buyers strategy u) in
+  let in_buyers =
+    let offsets = Graph.csr_offsets graph and packed = Graph.csr_packed graph in
+    let acc = ref [] in
+    for i = offsets.(player + 1) - 1 downto offsets.(player) do
+      let x = packed.(i) in
+      if Strategy.owns strategy mapping.Subgraph.to_host.(x) u then acc := x :: !acc
+    done;
+    !acc
+  in
   let dist =
     match scratch with
     | None -> Bfs.distances graph player

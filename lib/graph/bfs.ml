@@ -4,16 +4,31 @@ let unreachable = -1
    [queue] is a flat FIFO whose first [visited] entries after a run list the
    reached vertices in BFS order. Growing on demand means one scratch can
    serve graphs of any size; threading one scratch through a dynamics run
-   is what keeps repeated best-response calls off the minor heap. *)
-type scratch = { mutable dist : int array; mutable queue : int array }
+   is what keeps repeated best-response calls off the minor heap.
+
+   Sparse reset: between runs every [dist] entry outside the first [last]
+   entries of [queue] is [unreachable], so a run only has to clear the
+   vertices the previous run reached — O(previous ball), not O(n). This
+   is what lets a small-radius search on a large host graph cost the
+   ball, not the graph. *)
+type scratch = {
+  mutable dist : int array;
+  mutable queue : int array;
+  mutable last : int;
+}
 
 let create_scratch ?(capacity = 0) () =
-  { dist = Array.make capacity unreachable; queue = Array.make capacity 0 }
+  {
+    dist = Array.make capacity unreachable;
+    queue = Array.make capacity 0;
+    last = 0;
+  }
 
 let ensure s n =
   if Array.length s.dist < n then begin
     s.dist <- Array.make n unreachable;
-    s.queue <- Array.make n 0
+    s.queue <- Array.make n 0;
+    s.last <- 0
   end
 
 let dist_array s = s.dist
@@ -26,7 +41,10 @@ let run s g src ~radius =
   if src < 0 || src >= n then invalid_arg "Bfs.run: source out of range";
   ensure s n;
   let dist = s.dist and queue = s.queue in
-  Array.fill dist 0 n unreachable;
+  for i = 0 to s.last - 1 do
+    dist.(queue.(i)) <- unreachable
+  done;
+  s.last <- 0;
   let offsets = Graph.csr_offsets g and packed = Graph.csr_packed g in
   dist.(src) <- 0;
   queue.(0) <- src;
@@ -47,6 +65,7 @@ let run s g src ~radius =
       done
     end
   done;
+  s.last <- !tail;
   !tail
 
 let distances_within g src ~radius =

@@ -29,12 +29,22 @@ val create_scratch : ?capacity:int -> unit -> scratch
     [0 .. order g - 1] ([unreachable] outside the ball) and the first
     [visited] entries of [visit_order s] list the reached vertices in BFS
     order (so non-decreasing distance, [src] first).
+
+    The cost is O(visited + arcs scanned + the previous run's visited
+    count), independent of [order g]: instead of clearing the whole
+    distance buffer, a run resets only the entries the previous run on
+    the same scratch reached (see {!dist_array}).
     @raise Invalid_argument if [src] is outside [0, order g). *)
 val run : scratch -> Graph.t -> int -> radius:int -> int
 
 (** The scratch's distance buffer. Owned by the scratch: valid only until
-    the next [run], entries at indices ≥ the searched graph's order are
-    garbage, and callers must not mutate it. *)
+    the next [run], and callers must not mutate it. After a run, every
+    entry outside that run's visited set — the first [visited] entries of
+    {!visit_order}, including every index ≥ the searched graph's order —
+    is [unreachable]. The next run relies on this invariant to reset only
+    those visited entries, so a caller that wrote into the buffer (or
+    into {!visit_order}) would corrupt every later search on the
+    scratch. *)
 val dist_array : scratch -> int array
 
 (** The scratch's BFS-order buffer; same ownership rules as

@@ -177,7 +177,11 @@ let remove_vertex_edges g u =
 
 (* [with_star g u star] is [g] with every edge incident to [u] replaced by
    edges from [u] to exactly the members of [star] (sorted, unique, no [u]).
-   One O(n + m) pass; the hot primitive behind {!Ncg.View.with_strategy}. *)
+   Only u, its old neighbours (they lose u) and the star (they gain u)
+   change segment; the runs of untouched vertices between them are copied
+   with one blit each and their offsets shifted, so the cost is a memcpy
+   of the arrays plus O(deg u + |star|) segment edits — the hot primitive
+   behind {!Ncg.View.with_strategy} and the dynamics' per-move update. *)
 let with_star g u star =
   check_endpoint g.n u;
   let n = g.n in
@@ -189,54 +193,68 @@ let with_star g u star =
       if i > 0 && star.(i - 1) >= v then
         invalid_arg "Graph.with_star: star not sorted strictly ascending")
     star;
-  (* New total arc count: u's segment becomes [star]; every other vertex w
-     drops u if it had it and gains u iff w is in [star]. *)
-  let old_du = degree g u in
-  let had_u w = mem_edge g w u in
-  let total = Array.length g.packed - (2 * old_du) + (2 * ds) in
+  let old_lo = g.offsets.(u) and old_hi = g.offsets.(u + 1) in
+  let total = Array.length g.packed - (2 * (old_hi - old_lo)) + (2 * ds) in
   let offsets = Array.make (n + 1) 0 in
   let packed = Array.make total 0 in
   let idx = ref 0 in
-  let si = ref 0 in
-  for w = 0 to n - 1 do
+  (* [next]: first vertex not yet emitted; [oi]/[si]: cursors into u's old
+     segment and into [star], both ascending. *)
+  let next = ref 0 and oi = ref old_lo and si = ref 0 in
+  let copy_upto w =
+    let src = g.offsets.(!next) in
+    let len = g.offsets.(w) - src in
+    Array.blit g.packed src packed !idx len;
+    let shift = !idx - src in
+    for x = !next to w - 1 do
+      offsets.(x + 1) <- g.offsets.(x + 1) + shift
+    done;
+    idx := !idx + len
+  in
+  let u_done = ref false in
+  while (not !u_done) || !oi < old_hi || !si < ds do
+    let w =
+      min
+        (if !u_done then max_int else u)
+        (min
+           (if !oi < old_hi then g.packed.(!oi) else max_int)
+           (if !si < ds then star.(!si) else max_int))
+    in
+    copy_upto w;
     if w = u then begin
       Array.blit star 0 packed !idx ds;
-      idx := !idx + ds
+      idx := !idx + ds;
+      u_done := true
     end
     else begin
+      let drop_u = !oi < old_hi && g.packed.(!oi) = w in
       let in_star = !si < ds && star.(!si) = w in
-      if !si < ds && star.(!si) <= w then incr si;
-      let drop_u = had_u w in
-      if in_star || drop_u then begin
-        (* Copy w's segment with u removed, then u merged back in sorted
-           position when w buys into the new star. *)
-        let placed = ref false in
-        for i = g.offsets.(w) to g.offsets.(w + 1) - 1 do
-          let v = g.packed.(i) in
-          if v <> u then begin
-            if in_star && (not !placed) && v > u then begin
-              packed.(!idx) <- u;
-              incr idx;
-              placed := true
-            end;
-            packed.(!idx) <- v;
-            incr idx
-          end
-        done;
-        if in_star && not !placed then begin
-          packed.(!idx) <- u;
+      if drop_u then incr oi;
+      if in_star then incr si;
+      (* w's segment with u removed, then u merged back in sorted
+         position when w is in the new star. *)
+      let placed = ref false in
+      for i = g.offsets.(w) to g.offsets.(w + 1) - 1 do
+        let v = g.packed.(i) in
+        if v <> u then begin
+          if in_star && (not !placed) && v > u then begin
+            packed.(!idx) <- u;
+            incr idx;
+            placed := true
+          end;
+          packed.(!idx) <- v;
           incr idx
         end
-      end
-      else begin
-        let off = g.offsets.(w) in
-        let len = g.offsets.(w + 1) - off in
-        Array.blit g.packed off packed !idx len;
-        idx := !idx + len
+      done;
+      if in_star && not !placed then begin
+        packed.(!idx) <- u;
+        incr idx
       end
     end;
-    offsets.(w + 1) <- !idx
+    offsets.(w + 1) <- !idx;
+    next := w + 1
   done;
+  copy_upto n;
   { n; m = total / 2; offsets; packed }
 
 let equal a b =

@@ -9,7 +9,7 @@
 
     Mutation is not supported on purpose: in the network creation game the
     source of truth is the strategy profile and the graph is re-derived from
-    it after a move (see {!Ncg.Strategy}). *)
+    it after a move (see {!Ncg.Strategy}), incrementally with {!with_star}. *)
 
 type t
 
@@ -88,9 +88,12 @@ val add_edges : t -> (int * int) list -> t
 val remove_vertex_edges : t -> int -> t
 
 (** [with_star g u star] replaces every edge incident to [u] with edges from
-    [u] to exactly the members of [star], in one O(n + m) pass. [star] must
-    be sorted strictly ascending and must not contain [u]; the array is not
-    retained. This is the hot primitive behind {!Ncg.View.with_strategy}.
+    [u] to exactly the members of [star]. Only the segments of [u], its old
+    neighbours and [star] are edited; the rest of the CSR is block-copied,
+    so the cost is O(deg u + |star| + their degrees) plus a memcpy of the
+    arrays. [star] must be sorted strictly ascending and must not contain
+    [u]; the array is not retained. This is the hot primitive behind
+    {!Ncg.View.with_strategy} and {!Ncg.Strategy.graph_after_move}.
     @raise Invalid_argument on an unsorted star or an endpoint violation. *)
 val with_star : t -> int -> int array -> t
 

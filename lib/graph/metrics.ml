@@ -1,17 +1,38 @@
-let eccentricities g =
+type distance_profile = {
+  balls : int array;
+  eccentricities : int array;
+  statuses : int array;
+  connected : bool;
+}
+
+let distance_profile g ~radius =
   let n = Graph.order g in
-  let ecc = Array.make n 0 in
+  let balls = Array.make n 0 in
+  let eccentricities = Array.make n 0 in
+  let statuses = Array.make n 0 in
+  let connected = ref true in
   let s = Bfs.create_scratch ~capacity:n () in
-  let ok = ref true in
-  let u = ref 0 in
-  while !ok && !u < n do
-    let visited = Bfs.run s g !u ~radius:max_int in
-    if visited = n then
-      ecc.(!u) <- (Bfs.dist_array s).((Bfs.visit_order s).(visited - 1))
-    else ok := false;
-    incr u
+  for u = 0 to n - 1 do
+    let visited = Bfs.run s g u ~radius:max_int in
+    let dist = Bfs.dist_array s and order = Bfs.visit_order s in
+    (* Visit order is by non-decreasing distance, so the last vertex is a
+       farthest one and the ball is a prefix. *)
+    let ball = ref 0 and status = ref 0 in
+    for i = 0 to visited - 1 do
+      let d = dist.(order.(i)) in
+      if d <= radius then incr ball;
+      status := !status + d
+    done;
+    balls.(u) <- !ball;
+    eccentricities.(u) <- dist.(order.(visited - 1));
+    statuses.(u) <- !status;
+    if visited < n then connected := false
   done;
-  if !ok then Some ecc else None
+  { balls; eccentricities; statuses; connected = !connected }
+
+let eccentricities g =
+  let p = distance_profile g ~radius:0 in
+  if p.connected then Some p.eccentricities else None
 
 let diameter g =
   if Graph.order g = 0 then None
@@ -29,23 +50,8 @@ let avg_degree g =
   if n = 0 then 0.0 else 2.0 *. float_of_int (Graph.size g) /. float_of_int n
 
 let total_distance g =
-  let n = Graph.order g in
-  let s = Bfs.create_scratch ~capacity:n () in
-  let total = ref 0 in
-  let ok = ref true in
-  let u = ref 0 in
-  while !ok && !u < n do
-    let visited = Bfs.run s g !u ~radius:max_int in
-    if visited = n then begin
-      let dist = Bfs.dist_array s in
-      for i = 0 to visited - 1 do
-        total := !total + dist.((Bfs.visit_order s).(i))
-      done
-    end
-    else ok := false;
-    incr u
-  done;
-  if !ok then Some !total else None
+  let p = distance_profile g ~radius:0 in
+  if p.connected then Some (Array.fold_left ( + ) 0 p.statuses) else None
 
 let distance_matrix g =
   Array.init (Graph.order g) (fun u -> Bfs.distances g u)

@@ -23,6 +23,23 @@ val avg_degree : Graph.t -> float
     (The Wiener index is half of this.) *)
 val total_distance : Graph.t -> int option
 
+(** Per-vertex distance statistics from one BFS per source. For each
+    source [u]: [balls.(u)] is the number of vertices at distance
+    ≤ [radius] ([u] included), and [eccentricities.(u)] / [statuses.(u)]
+    are the largest / summed distance to the vertices [u] reaches — the
+    true eccentricity and status when [connected]. *)
+type distance_profile = {
+  balls : int array;
+  eccentricities : int array;
+  statuses : int array;
+  connected : bool;
+}
+
+(** [distance_profile g ~radius] runs one unbounded BFS per vertex on one
+    scratch, O(n·(n+m)) time and O(n) space — the one all-pairs pass
+    behind the per-round features and the per-trial statistics. *)
+val distance_profile : Graph.t -> radius:int -> distance_profile
+
 (** [distance_matrix g] is row [u] = BFS distances from [u]. O(n(n+m))
     time, O(n²) space. *)
 val distance_matrix : Graph.t -> int array array

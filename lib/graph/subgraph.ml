@@ -50,17 +50,38 @@ let ball_induced ?scratch g u ~radius =
     | None -> Bfs.create_scratch ~capacity:n ()
   in
   let visited = Bfs.run s g u ~radius in
-  (* The ball in increasing host order: a pass over the dist buffer keeps
-     the mapping arrays exactly as [induced] would build them. *)
-  let dist = Bfs.dist_array s in
-  let to_sub = Array.make n (-1) in
-  let to_host = Array.make visited 0 in
-  let i = ref 0 in
-  for v = 0 to n - 1 do
-    if dist.(v) >= 0 then begin
-      to_sub.(v) <- !i;
-      to_host.(!i) <- v;
-      incr i
+  (* The ball in increasing host order, so the mapping arrays come out
+     exactly as [induced] would build them. A small ball is read off the
+     visit-order prefix and insertion-sorted, O(ball²) with no pass over
+     the host; a ball that is a large share of the host is read off the
+     distance buffer in one O(n) pass, which beats any sort there. *)
+  let to_host =
+    if visited * visited <= 4 * n then begin
+      let a = Array.sub (Bfs.visit_order s) 0 visited in
+      for i = 1 to visited - 1 do
+        let v = a.(i) in
+        let j = ref (i - 1) in
+        while !j >= 0 && a.(!j) > v do
+          a.(!j + 1) <- a.(!j);
+          decr j
+        done;
+        a.(!j + 1) <- v
+      done;
+      a
     end
-  done;
+    else begin
+      let dist = Bfs.dist_array s in
+      let a = Array.make visited 0 in
+      let i = ref 0 in
+      for v = 0 to n - 1 do
+        if dist.(v) >= 0 then begin
+          a.(!i) <- v;
+          incr i
+        end
+      done;
+      a
+    end
+  in
+  let to_sub = Array.make n (-1) in
+  Array.iteri (fun i v -> to_sub.(v) <- i) to_host;
   (induced_of_mapping g to_sub to_host, { to_sub; to_host })

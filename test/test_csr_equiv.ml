@@ -94,6 +94,84 @@ let prop_with_star =
       in
       Graph.equal fast slow)
 
+(* --- Incremental graph update after a move ---------------------------------- *)
+
+module Strategy = Ncg.Strategy
+
+(* A random profile and a chain of single-player moves. Buys are drawn
+   densely enough that mutual purchases (u→v and v→u) are common; each
+   move is an arbitrary new target set (kind 0), buying back every
+   in-buyer on top of it so all of u's bought edges become mutual (kind
+   1), or dropping everything (kind 2), which disconnects u unless
+   someone bought towards her. *)
+let move_chain_gen =
+  QCheck.Gen.(
+    int_range 2 20 >>= fun n ->
+    int_range 0 (3 * n) >>= fun m ->
+    list_repeat m (pair (int_bound (n - 1)) (int_bound (n - 1))) >>= fun buys ->
+    list_size (int_range 1 12)
+      (triple (int_bound (n - 1)) (int_bound 2)
+         (list_size (int_bound (min 6 (n - 1))) (int_bound (n - 1))))
+    >>= fun moves -> return (n, List.filter (fun (a, b) -> a <> b) buys, moves))
+
+let print_move_chain (n, buys, moves) =
+  Printf.sprintf "%s moves=[%s]" (print_raw (n, buys))
+    (String.concat "; "
+       (List.map
+          (fun (u, kind, ts) ->
+            Printf.sprintf "(%d,%d,[%s])" u kind
+              (String.concat "," (List.map string_of_int ts)))
+          moves))
+
+(* Replays the chain through [graph_after_move]; [check] sees every
+   intermediate profile and its incrementally maintained graph. *)
+let replay_moves (n, buys, moves) check =
+  let s0 = Strategy.of_buys ~n buys in
+  let step (s, g, ok) (u, kind, targets) =
+    let targets = List.filter (fun v -> v <> u) targets in
+    let targets =
+      match kind with
+      | 0 -> targets
+      | 1 -> Strategy.in_buyers s u @ targets
+      | _ -> []
+    in
+    let s' = Strategy.with_owned s u targets in
+    let g' = Strategy.graph_after_move s' ~before:g u in
+    (s', g', ok && check s' g')
+  in
+  let _, _, ok = List.fold_left step (s0, Strategy.graph s0, true) moves in
+  ok
+
+let prop_graph_after_move =
+  QCheck.Test.make
+    ~name:"graph_after_move = Strategy.graph after single-player moves" ~count:300
+    (QCheck.make ~print:print_move_chain move_chain_gen)
+    (fun chain ->
+      replay_moves chain (fun s g ->
+          Graph.equal g (Strategy.graph s)
+          && Graph.equal g (Graph.of_edges ~n:(Graph.order g) (Graph.edges g))))
+
+let test_graph_after_move_cases () =
+  (* Path 0-1-2-3 with a mutual edge 1<->2 (bought from both sides). *)
+  let s = Strategy.of_buys ~n:4 [ (0, 1); (1, 2); (2, 1); (3, 2) ] in
+  let g = Strategy.graph s in
+  let check name s' u =
+    let g' = Strategy.graph_after_move s' ~before:g u in
+    Alcotest.(check bool) name true (Graph.equal g' (Strategy.graph s'));
+    g'
+  in
+  (* 1 drops her side of the mutual edge: the edge survives (2 still
+     pays for it). *)
+  let g1 = check "drop one side of a mutual edge" (Strategy.with_owned s 1 []) 1 in
+  Alcotest.(check bool) "mutual edge kept" true (Graph.mem_edge g1 1 2);
+  (* 2 drops everything: 2-3 stays (3 bought it), 1-2 stays (1 bought
+     it too). 0 drops: 0 becomes isolated, the graph disconnects. *)
+  ignore (check "drop all with in-buyers" (Strategy.with_owned s 2 []) 2);
+  let g0 = check "disconnecting drop" (Strategy.with_owned s 0 []) 0 in
+  Alcotest.(check bool) "disconnected" false (Bfs.is_connected g0);
+  (* 3 buys towards everyone, mutual with nobody new. *)
+  ignore (check "buy all" (Strategy.with_owned s 3 [ 0; 1; 2 ]) 3)
+
 (* --- BFS ------------------------------------------------------------------- *)
 
 let prop_bfs_distances =
@@ -144,6 +222,52 @@ let prop_bfs_scratch_reuse =
           done;
           !prefix_ok && Array.sub dist 0 n = expect)
         (List.init n Fun.id))
+
+(* A scratch is reused across graphs of different orders and radii, as
+   the dynamics does when it alternates host-graph ball searches with
+   view-graph searches. Its answers must match a fresh scratch, and the
+   sparse-reset invariant must hold over the whole (possibly larger)
+   buffer: every entry outside the last run's visited set is unreachable. *)
+let prop_bfs_scratch_across_graphs =
+  QCheck.Test.make
+    ~name:"one scratch across graphs of different order and radius = fresh scratch"
+    ~count:150
+    QCheck.(
+      make
+        ~print:(fun runs ->
+          String.concat " | "
+            (List.map
+               (fun (raw, src, radius) ->
+                 Printf.sprintf "%s src=%d radius=%d" (print_raw raw) src radius)
+               runs))
+        QCheck.Gen.(
+          list_size (int_range 1 10) (triple raw_graph_gen nat (int_bound 6))))
+    (fun runs ->
+      let s = Bfs.create_scratch () in
+      List.for_all
+        (fun ((n, edges), src, radius) ->
+          let g = Graph.of_edges ~n edges in
+          let src = src mod n in
+          let radius = if radius = 6 then max_int else radius in
+          let fresh = Bfs.create_scratch ~capacity:n () in
+          let visited = Bfs.run s g src ~radius in
+          let expect_visited = Bfs.run fresh g src ~radius in
+          let dist = Bfs.dist_array s and order = Bfs.visit_order s in
+          let inside = Array.make (Array.length dist) false in
+          for i = 0 to visited - 1 do
+            inside.(order.(i)) <- true
+          done;
+          let sparse_ok = ref true in
+          Array.iteri
+            (fun v d ->
+              if (not inside.(v)) && d <> Bfs.unreachable then sparse_ok := false)
+            dist;
+          visited = expect_visited
+          && Array.sub dist 0 n = Array.sub (Bfs.dist_array fresh) 0 n
+          && Array.sub order 0 visited
+             = Array.sub (Bfs.visit_order fresh) 0 expect_visited
+          && !sparse_ok)
+        runs)
 
 (* --- Power graphs and k-views ---------------------------------------------- *)
 
@@ -311,8 +435,19 @@ let () =
           qt prop_csr_well_formed;
           qt prop_with_star;
         ] );
+      ( "moves",
+        [
+          qt prop_graph_after_move;
+          Alcotest.test_case "mutual and disconnecting moves" `Quick
+            test_graph_after_move_cases;
+        ] );
       ( "bfs",
-        [ qt prop_bfs_distances; qt prop_bfs_bounded; qt prop_bfs_scratch_reuse ] );
+        [
+          qt prop_bfs_distances;
+          qt prop_bfs_bounded;
+          qt prop_bfs_scratch_reuse;
+          qt prop_bfs_scratch_across_graphs;
+        ] );
       ( "power+views", [ qt prop_power; qt prop_ball_sets; qt prop_induced; qt prop_ball_induced ] );
       ( "bitset",
         [ qt prop_bitset_model; qt prop_bitset_binary_ops; qt prop_bitset_scan ] );

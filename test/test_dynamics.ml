@@ -256,6 +256,65 @@ let prop_social_cost_finite_throughout =
         (fun f -> f.Features.diameter >= 0 && not (Float.is_nan f.Features.social_cost))
         r.Dynamics.features)
 
+(* The round loop keeps its graph up to date incrementally and reuses
+   the last social-cost probe across a round without moves. Replaying
+   the move trace rebuilds every end-of-round profile from scratch: the
+   per-round features (computed on the loop's graph) and the social-cost
+   probe series must match values recomputed on [Strategy.graph] of the
+   replayed profile, bit for bit. *)
+let test_round_state_matches_replay () =
+  List.iter
+    (fun (variant, alpha, k, seed) ->
+      let s0 = Ncg.Experiment.initial_tree ~seed ~n:24 in
+      let cfg = { (config ~variant ~alpha ~k ()) with Dynamics.max_rounds = 40 } in
+      let r, probes = Ncg_obs.Probe.collect (fun () -> Dynamics.run cfg s0) in
+      let moves = r.Dynamics.trace.Ncg.Trace.moves in
+      let profile_after round =
+        Ncg.Trace.replay s0
+          {
+            r.Dynamics.trace with
+            Ncg.Trace.moves =
+              List.filter (fun m -> m.Ncg.Trace.round <= round) moves;
+          }
+      in
+      let series =
+        Ncg_obs.Timeseries.to_list
+          (List.assoc (Ncg_obs.Probe.name Ncg_obs.Probe.social_cost) probes)
+      in
+      check_int "one probe per round" r.Dynamics.rounds (List.length series);
+      List.iter2
+        (fun (f : Features.t) (x, sampled) ->
+          let s = profile_after f.Features.round in
+          let g = Strategy.graph s in
+          let expect =
+            Features.collect variant ~alpha ~k ~round:f.Features.round
+              ~changes:f.Features.changes s g
+          in
+          check_bool "features = recomputed" true
+            (Features.to_csv_row f = Features.to_csv_row expect);
+          let usage =
+            match variant with
+            | Game.Max -> Ncg_graph.Metrics.eccentricities g
+            | Game.Sum ->
+                Some
+                  (Array.init (Strategy.n_players s) (fun u ->
+                       Option.get (Ncg_graph.Bfs.sum_distances g u)))
+          in
+          let cost =
+            (alpha *. float_of_int (Ncg_graph.Graph.size g))
+            +. float_of_int (Ncg_util.Arrayx.sum (Option.get usage))
+          in
+          check_bool "probe round" true (x = float_of_int f.Features.round);
+          check_bool "social-cost probe = recomputed" true
+            (Int64.equal (Int64.bits_of_float sampled) (Int64.bits_of_float cost)))
+        r.Dynamics.features series)
+    [
+      (Game.Max, 0.5, 2, 1);
+      (Game.Max, 2.0, 3, 2);
+      (Game.Max, 1.0, 1000, 3);
+      (Game.Sum, 1.5, 2, 4);
+    ]
+
 let () =
   Alcotest.run "dynamics"
     [
@@ -272,6 +331,8 @@ let () =
           Alcotest.test_case "collected per round" `Quick test_features_collected;
           Alcotest.test_case "disabled" `Quick test_features_disabled;
           Alcotest.test_case "csv row" `Quick test_csv_row;
+          Alcotest.test_case "round state = trace replay" `Quick
+            test_round_state_matches_replay;
         ] );
       ( "mechanics",
         [

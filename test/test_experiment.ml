@@ -242,7 +242,7 @@ let test_probes_toggle_and_series () =
       { Experiment.alpha = 0.5; k = 2 }
   in
   check_bool "cache key depends on the probes flag" false (key true = key false);
-  (* Cell payload codec (ncg.store.cell/5) round-trips the series. *)
+  (* Cell payload codec (ncg.store.cell/6) round-trips the series. *)
   match Experiment.cell_result_of_json (Experiment.cell_result_to_json first) with
   | Ok rt ->
       check_bool "payload round-trips probe series" true
@@ -284,6 +284,103 @@ let test_full_knowledge_view_sizes () =
   let r = Experiment.run_one cfg s in
   check_int "min view = n" 12 r.Experiment.min_view
 
+(* --- One-pass trial statistics vs the per-statistic oracles ------------------ *)
+
+(* The composition the one-pass summary replaced: a radius-k ball per
+   player, then Game.social_cost, Game.unfairness and the diameter as
+   the largest per-vertex eccentricity, each with its own all-pairs BFS
+   pass. *)
+let old_summary variant ~alpha ~k s =
+  let g = Strategy.graph s in
+  let views =
+    Array.init (Graph.order g) (fun u ->
+        List.length (Ncg_graph.Bfs.ball g u ~radius:k))
+  in
+  let or_nan = function Some c -> c | None -> nan in
+  let eccentricities = List.init (Graph.order g) (Ncg_graph.Bfs.eccentricity g) in
+  ( views,
+    (if eccentricities <> [] && List.for_all Option.is_some eccentricities then
+       List.fold_left (fun acc e -> max acc (Option.get e)) 0 eccentricities
+     else -1),
+    or_nan (Game.social_cost variant ~alpha s),
+    or_nan (Game.unfairness variant ~alpha s g) )
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let summary_matches variant ~alpha ~k s =
+  let views, diameter, social_cost, unfairness = old_summary variant ~alpha ~k s in
+  let sm = Ncg.Features.summarize variant ~alpha ~k s (Strategy.graph s) in
+  sm.Ncg.Features.views = views
+  && sm.Ncg.Features.diameter = diameter
+  && same_float sm.Ncg.Features.social_cost social_cost
+  && same_float sm.Ncg.Features.unfairness unfairness
+
+(* Random profiles on up to 25 players: sparse ones are often
+   disconnected, dense ones connected; α is an arbitrary float so the
+   left-to-right cost fold is exercised bit for bit. *)
+let prop_summary_matches_oracles =
+  QCheck.Test.make ~name:"one-pass summary = ball/social cost/unfairness/diameter"
+    ~count:200
+    QCheck.(
+      quad (int_range 1 25) (int_range 1 6) (float_range 0.01 12.0)
+        (pair (int_range 0 10_000) (int_range 0 3)))
+    (fun (n, k, alpha, (seed, density)) ->
+      let rng = Ncg_prng.Rng.create seed in
+      let buys =
+        List.init (density * n) (fun _ ->
+            (Ncg_prng.Rng.int rng n, Ncg_prng.Rng.int rng n))
+        |> List.filter (fun (a, b) -> a <> b)
+      in
+      let s = Strategy.of_buys ~n buys in
+      summary_matches Game.Max ~alpha ~k s && summary_matches Game.Sum ~alpha ~k s)
+
+let test_summary_fixed_profiles () =
+  let tree = Experiment.initial_tree ~seed:21 ~n:40 in
+  let split = Strategy.of_buys ~n:6 [ (0, 1); (1, 2); (3, 4); (4, 5) ] in
+  List.iter
+    (fun (name, s) ->
+      List.iter
+        (fun (variant, k) ->
+          check_bool
+            (Printf.sprintf "%s %s k=%d" name (Game.variant_to_string variant) k)
+            true
+            (summary_matches variant ~alpha:0.7 ~k s))
+        [ (Game.Max, 1); (Game.Max, 3); (Game.Sum, 2); (Game.Sum, 1000) ])
+    [ ("tree", tree); ("disconnected", split); ("single player", Strategy.create ~n:1) ]
+
+(* run_one reads its statistics off the summary of the final profile. *)
+let test_run_one_matches_oracles () =
+  List.iter
+    (fun (variant, alpha, k, seed) ->
+      let cfg =
+        {
+          (Dynamics.default_config ~alpha ~k) with
+          Dynamics.variant;
+          collect_features = false;
+          max_rounds = 30;
+        }
+      in
+      let s = Experiment.initial_tree ~seed ~n:20 in
+      let final = (Dynamics.run cfg s).Dynamics.final in
+      let views, diameter, social_cost, unfairness =
+        old_summary variant ~alpha ~k final
+      in
+      let r = Experiment.run_one cfg s in
+      let n = Strategy.n_players final in
+      check_int "min view" (Ncg_util.Arrayx.min_elt views) r.Experiment.min_view;
+      check_bool "avg view" true
+        (same_float
+           (float_of_int (Ncg_util.Arrayx.sum views) /. float_of_int n)
+           r.Experiment.avg_view);
+      check_int "diameter" diameter r.Experiment.diameter;
+      check_bool "social cost" true (same_float social_cost r.Experiment.social_cost);
+      check_bool "unfairness" true (same_float unfairness r.Experiment.unfairness);
+      check_bool "quality" true
+        (same_float
+           (social_cost /. Game.social_optimum variant ~alpha ~n)
+           r.Experiment.quality))
+    [ (Game.Max, 0.5, 2, 1); (Game.Max, 3.0, 1000, 2); (Game.Sum, 1.5, 3, 3) ]
+
 let () =
   Alcotest.run "experiment"
     [
@@ -303,6 +400,8 @@ let () =
             test_parallel_trials_match_sequential;
           Alcotest.test_case "ba/ws initials" `Quick test_initial_ba_ws;
           Alcotest.test_case "full knowledge views" `Quick test_full_knowledge_view_sizes;
+          Alcotest.test_case "run_one = per-statistic oracles" `Quick
+            test_run_one_matches_oracles;
         ] );
       ( "sweep",
         [
@@ -316,5 +415,10 @@ let () =
             test_sweep_counters_isolated_per_cell;
           Alcotest.test_case "probes toggle + exemplar series" `Quick
             test_probes_toggle_and_series;
+        ] );
+      ( "summary",
+        [
+          QCheck_alcotest.to_alcotest prop_summary_matches_oracles;
+          Alcotest.test_case "fixed profiles" `Quick test_summary_fixed_profiles;
         ] );
     ]

@@ -48,9 +48,9 @@ let test_disconnected_markers () =
   Alcotest.(check bool) "nan social cost" true (Float.is_nan f.Features.social_cost)
 
 let test_view_sizes () =
-  let g = Ncg_gen.Classic.cycle 8 in
-  let sizes = Features.view_sizes ~k:2 g in
-  Array.iter (fun s -> check_int "cycle view" 5 s) sizes
+  let s = Strategy.of_buys ~n:8 (List.init 8 (fun u -> (u, (u + 1) mod 8))) in
+  let summary = Features.summarize Game.Max ~alpha:1.0 ~k:2 s (Strategy.graph s) in
+  Array.iter (fun s -> check_int "cycle view" 5 s) summary.Features.views
 
 let test_csv_roundtrip_fields () =
   let s = star 5 in

@@ -135,8 +135,11 @@ let test_corollary_3_14_empirical () =
       let r = Ncg.Dynamics.run cfg s in
       match r.Ncg.Dynamics.outcome with
       | Ncg.Dynamics.Converged _ ->
-          let g = Strategy.graph r.Ncg.Dynamics.final in
-          let views = Ncg.Features.view_sizes ~k g in
+          let final = r.Ncg.Dynamics.final in
+          let views =
+            (Ncg.Features.summarize Game.Max ~alpha ~k final (Strategy.graph final))
+              .Ncg.Features.views
+          in
           check_int "every player sees everything"
             n (Ncg_util.Arrayx.min_elt views)
       | _ -> Alcotest.fail "should converge")
@@ -160,8 +163,11 @@ let test_theorem_4_4_empirical () =
       let r = Ncg.Dynamics.run cfg s in
       match r.Ncg.Dynamics.outcome with
       | Ncg.Dynamics.Converged _ ->
-          let g = Strategy.graph r.Ncg.Dynamics.final in
-          let views = Ncg.Features.view_sizes ~k g in
+          let final = r.Ncg.Dynamics.final in
+          let views =
+            (Ncg.Features.summarize Game.Sum ~alpha ~k final (Strategy.graph final))
+              .Ncg.Features.views
+          in
           check_int "full views at Sum equilibrium" n
             (Ncg_util.Arrayx.min_elt views)
       | _ -> Alcotest.fail "should converge")

@@ -368,6 +368,27 @@ let test_hist_collect_and_percentiles () =
   check_bool "mean between the modes" true
     (Histogram.mean_ns h > 1_000. && Histogram.mean_ns h < 1_000_000.)
 
+let test_hist_percentile_clamped_to_max () =
+  (* Every sample sits low in the bucket [1131ns, 1600ns): the bucket's
+     upper bound is above every sample, so unclamped percentiles would
+     exceed the max. *)
+  let (), snap =
+    Histogram.collect (fun () ->
+        for i = 0 to 49 do
+          Histogram.record_ns Histogram.best_response (Int64.of_int (1_420 + (i mod 5)))
+        done)
+  in
+  let h = List.assoc (Histogram.name Histogram.best_response) snap in
+  let mx = Int64.to_float (Histogram.max_ns h) in
+  check_bool "max is 1424ns" true (mx = 1_424.);
+  List.iter
+    (fun q ->
+      let p = Histogram.percentile_ns h q in
+      check_bool (Printf.sprintf "p%g <= max" (100. *. q)) true (p <= mx);
+      check_bool (Printf.sprintf "p%g >= true value" (100. *. q)) true (p >= 1_420.))
+    [ 0.0; 0.5; 0.9; 0.99; 1.0 ];
+  check_bool "p99 is the max" true (Histogram.p99_ns h = mx)
+
 let test_hist_time_and_nesting () =
   let ((), inner), outer =
     Histogram.collect (fun () ->
@@ -866,6 +887,8 @@ let () =
           Alcotest.test_case "bucket scheme" `Quick test_hist_buckets;
           Alcotest.test_case "collect and percentiles" `Quick
             test_hist_collect_and_percentiles;
+          Alcotest.test_case "percentiles clamped to max" `Quick
+            test_hist_percentile_clamped_to_max;
           Alcotest.test_case "time and nesting" `Quick test_hist_time_and_nesting;
           Alcotest.test_case "merge/total" `Quick test_hist_merge_total;
           Alcotest.test_case "exception safety" `Quick test_hist_exception_safety;

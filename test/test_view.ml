@@ -147,6 +147,46 @@ let prop_owned_always_visible =
       && List.length v.View.in_buyers = List.length (Strategy.in_buyers s u)
       && List.for_all (fun x -> v.View.dist.(x) = 1) v.View.owned)
 
+(* A random tree, randomly oriented, where some tree edges are also
+   bought from the other side (mutual purchases) and a few chords are
+   added — so players have several in-buyers, some of them also
+   targets. *)
+let random_dense_setup seed n =
+  let rng = Rng.create seed in
+  let tree = Ncg_gen.Random_tree.generate rng n in
+  let buys =
+    List.concat_map
+      (fun (a, b) ->
+        let a, b = if Rng.bool rng then (a, b) else (b, a) in
+        if Rng.bernoulli rng 0.3 then [ (a, b); (b, a) ] else [ (a, b) ])
+      (Graph.edges tree)
+  in
+  let chords =
+    List.filter_map
+      (fun _ ->
+        let a = Rng.int rng n and b = Rng.int rng n in
+        if a <> b then Some (a, b) else None)
+      (List.init (n / 3) Fun.id)
+  in
+  let s = Strategy.of_buys ~n (buys @ chords) in
+  (s, Strategy.graph s)
+
+let prop_in_buyers_match_profile =
+  QCheck.Test.make ~name:"view in-buyers = Strategy.in_buyers in view coordinates"
+    ~count:100
+    QCheck.(triple (int_range 2 30) (int_range 1 4) (int_range 0 1000))
+    (fun (n, k, seed) ->
+      let s, g = random_dense_setup seed n in
+      (* One scratch across every player, as the dynamics threads it. *)
+      let scratch = Ncg_graph.Bfs.create_scratch () in
+      List.for_all
+        (fun u ->
+          let v = View.extract ~scratch s g ~k u in
+          let fresh = View.extract s g ~k u in
+          v.View.in_buyers = View.of_host v (Strategy.in_buyers s u)
+          && fresh.View.in_buyers = v.View.in_buyers)
+        (List.init n Fun.id))
+
 let () =
   Alcotest.run "ncg_view"
     [
@@ -172,5 +212,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_view_size_matches_ball;
           QCheck_alcotest.to_alcotest prop_view_distances_match_host;
           QCheck_alcotest.to_alcotest prop_owned_always_visible;
+          QCheck_alcotest.to_alcotest prop_in_buyers_match_profile;
         ] );
     ]

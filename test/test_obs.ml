@@ -837,6 +837,128 @@ let test_progress_auto_suppression () =
     check_bool "auto-suppressed when stderr is not a TTY" false
       (Events.progress_enabled ())
 
+(* --- Registry ---------------------------------------------------------------- *)
+
+(* Names are computed rather than literal, so the O1/F1 closed-namespace
+   lint rules do not (and must not) flag these deliberately unknown names. *)
+let fresh prefix = "test.registry." ^ prefix
+
+module Inject = Ncg_fault.Inject
+
+(* Runs [f] in a forked child and fails unless it returns true there, so
+   whatever [f] registers never reaches this binary's shared registry. *)
+let in_forked_child what f =
+  match Unix.fork () with
+  | 0 -> Unix._exit (match f () with true -> 0 | false | (exception _) -> 1)
+  | pid -> (
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.failf "%s: check failed in the forked child" what)
+
+let test_registry_full () =
+  (* Fill each namespace to its capacity; the next new name must raise
+     and the namespace must hold exactly [capacity] names. *)
+  let fills register count capacity =
+    let rec go i =
+      match register (fresh (Printf.sprintf "fill.%d" i)) with
+      | _ -> go (i + 1)
+      | exception Invalid_argument _ -> count () = capacity
+    in
+    go 0
+  in
+  let counters () = List.length (snd (Metrics.collect ignore)) in
+  let hists () = List.length (snd (Histogram.collect ignore)) in
+  in_forked_child "Metrics full" (fun () ->
+      fills (fun n -> ignore (Metrics.register n)) counters 128);
+  in_forked_child "Histogram full" (fun () ->
+      fills (fun n -> ignore (Histogram.register n)) hists 32);
+  in_forked_child "Probe full" (fun () ->
+      fills (fun n -> ignore (Probe.register n)) (fun () -> List.length (Probe.names ())) 32);
+  in_forked_child "Inject full" (fun () ->
+      fills (fun n -> ignore (Inject.site n)) (fun () -> List.length (Inject.sites ())) 64)
+
+let test_registry_main_domain_only () =
+  let rejected_off_main register =
+    Domain.join
+      (Domain.spawn (fun () ->
+           match register (fresh "from_domain") with
+           | () -> false
+           | exception Invalid_argument _ -> true))
+  in
+  check_bool "Metrics" true (rejected_off_main (fun n -> ignore (Metrics.register n)));
+  check_bool "Histogram" true (rejected_off_main (fun n -> ignore (Histogram.register n)));
+  check_bool "Probe" true (rejected_off_main (fun n -> ignore (Probe.register n)));
+  check_bool "Inject.site" true (rejected_off_main (fun n -> ignore (Inject.site n)))
+
+let test_registry_names () =
+  let rejects_empty register =
+    match register "" with () -> false | exception Invalid_argument _ -> true
+  in
+  check_bool "Metrics empty name" true (rejects_empty (fun n -> ignore (Metrics.register n)));
+  check_bool "Histogram empty name" true
+    (rejects_empty (fun n -> ignore (Histogram.register n)));
+  check_bool "Probe empty name" true (rejects_empty (fun n -> ignore (Probe.register n)));
+  let n = fresh "twice" in
+  check_bool "Metrics same id" true (Metrics.register n = Metrics.register n);
+  check_bool "Histogram same id" true (Histogram.register n = Histogram.register n);
+  check_bool "Probe same id" true (Probe.register n = Probe.register n);
+  check_bool "Inject same id" true (Inject.site n = Inject.site n);
+  check_bool "Probe.find sees it" true (Probe.find n = Some (Probe.register n))
+
+let test_registry_merge_order () =
+  (* Registered names in registration order, then unknown names in
+     first-seen order: operand a's before operand b's. *)
+  let keys snap = List.map fst snap in
+  let a = [ ("zz.a", 1); ("view.extracts", 2) ]
+  and b = [ ("zz.b", 3); ("bfs.calls", 4); ("zz.a", 5) ] in
+  let m = Metrics.merge a b in
+  check_bool "Metrics order" true
+    (keys m = [ "bfs.calls"; "view.extracts"; "zz.a"; "zz.b" ]);
+  check_int "Metrics summed" 6 (List.assoc "zz.a" m);
+  let h = Histogram.empty_hist in
+  let hm =
+    Histogram.merge
+      [ ("zz.a", h); ("dynamics.round.latency", h) ]
+      [ ("zz.b", h); ("best_response.latency", h) ]
+  in
+  check_bool "Histogram order" true
+    (keys hm = [ "best_response.latency"; "dynamics.round.latency"; "zz.a"; "zz.b" ])
+
+let test_registry_decode_expands () =
+  (* Decoding re-expands over the registry (registration order), then
+     appends unknown names in input order. *)
+  let registered = List.map fst (snd (Metrics.collect ignore)) in
+  (match
+     Metrics.of_json
+       (Json.Obj [ ("zz.u2", Json.Int 5); ("bfs.calls", Json.Int 1); ("zz.u1", Json.Int 2) ])
+   with
+  | Ok snap ->
+      check_bool "Metrics keys" true (List.map fst snap = registered @ [ "zz.u2"; "zz.u1" ]);
+      check_int "Metrics known value" 1 (List.assoc "bfs.calls" snap);
+      check_int "Metrics unknown value" 5 (List.assoc "zz.u2" snap)
+  | Error e -> Alcotest.fail e);
+  let series = Timeseries.to_json (ts_of [ 1.; 2. ]) in
+  match
+    Probe.of_json
+      (Json.Obj
+         [
+           ("schema", Json.String Probe.schema);
+           ("capacity", Json.Int 64);
+           ( "series",
+             Json.Obj
+               [ ("zz.p2", series); ("dynamics.awake_players", series); ("zz.p1", series) ]
+           );
+         ])
+  with
+  | Ok snap ->
+      check_bool "Probe keys" true
+        (List.map fst snap = Probe.names () @ [ "zz.p2"; "zz.p1" ]);
+      check_int "Probe known series" 2
+        (Timeseries.length (List.assoc "dynamics.awake_players" snap));
+      check_bool "Probe missing series empty" true
+        (Timeseries.is_empty (List.assoc "dynamics.social_cost" snap))
+  | Error e -> Alcotest.fail e
+
 let () =
   Alcotest.run "obs"
     [
@@ -923,5 +1045,13 @@ let () =
           Alcotest.test_case "collect + codec" `Quick test_probe_collect;
           Alcotest.test_case "nesting shadows" `Quick test_probe_nesting_shadows;
           Alcotest.test_case "lazy sampling" `Quick test_probe_lazy;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "full (forked child)" `Quick test_registry_full;
+          Alcotest.test_case "main domain only" `Quick test_registry_main_domain_only;
+          Alcotest.test_case "names and ids" `Quick test_registry_names;
+          Alcotest.test_case "merge order" `Quick test_registry_merge_order;
+          Alcotest.test_case "decode expands" `Quick test_registry_decode_expands;
         ] );
     ]

@@ -111,17 +111,10 @@ let derive_seeds ~seed ~count =
   let sm = Ncg_prng.Splitmix64.create (Int64.of_int seed) in
   Array.init count (fun _ -> Int64.to_int (Ncg_prng.Splitmix64.next sm))
 
-let trials_parallel ~domains ~make_initial ~config ~trials:count ~seed =
-  let seeds = derive_seeds ~seed ~count in
-  (Ncg_util.Parallel.init ~domains count (fun i ->
-       run_one config (make_initial ~seed:seeds.(i)))
-   [@lint.allow
-     "P2"
-       "seeds is fully derived before the fan-out and only read by the \
-        workers, each at its own index; no domain writes it"])
-
 let trials ~make_initial ~config ~trials:count ~seed =
-  trials_parallel ~domains:1 ~make_initial ~config ~trials:count ~seed
+  List.map
+    (fun seed -> run_one config (make_initial ~seed))
+    (Array.to_list (derive_seeds ~seed ~count))
 
 (* --- Instrumented parallel sweeps --------------------------------------- *)
 
@@ -580,7 +573,7 @@ let sweep ?domains ?store ?store_context ?probes ~make_initial ~make_config
   in
   (* Legacy contract: every cell still ran (the executor quarantines
      instead of aborting), then the lowest-index failure re-raises —
-     deterministic for a deterministic task, like Parallel.chunked_map. *)
+     deterministic for a deterministic task, like Parallel.map. *)
   List.map (function Ok r -> r | Error f -> raise f.exn) outcomes
 
 let sweep_counters results =

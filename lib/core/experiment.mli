@@ -72,17 +72,6 @@ val trials :
   seed:int ->
   run_stats list
 
-(** [trials_parallel ~domains …] fans the trials out over OCaml domains.
-    Trials are independent and individually seeded, so the result list is
-    identical to {!trials} regardless of [domains]. *)
-val trials_parallel :
-  domains:int ->
-  make_initial:(seed:int -> Strategy.t) ->
-  config:Dynamics.config ->
-  trials:int ->
-  seed:int ->
-  run_stats list
-
 (** {1 Instrumented parallel sweeps}
 
     The engine behind [bin/ncg_experiment] and the bench harness: a grid

@@ -30,9 +30,8 @@
 type site
 
 (** [site name] declares (or looks up) the fault site named [name].
-    Same init-time-only contract as {!Ncg_obs.Metrics.register}: main
-    domain, before fan-out. Raises [Invalid_argument] when called from a
-    spawned domain or when the registry (64 slots) is full. *)
+    Init-time-only, main domain only, 64 slots: the {!Ncg_obs.Registry}
+    contract, which raises [Invalid_argument] otherwise. *)
 val site : string -> site
 
 val site_name : site -> string

@@ -70,7 +70,7 @@ let contract = function
        mutable state must be Atomic.t, Domain.DLS, mutex-guarded, or \
        explicitly marked [@lint.domain_local] with a written justification."
   | P2 ->
-      "A closure handed to a fan-out point (Parallel.chunked_map, \
+      "A closure handed to a fan-out point (Parallel.map, \
        Executor.map, Domain.spawn) runs on another domain: any plain mutable \
        state it captures from an enclosing scope (ref, array, Hashtbl, \
        Buffer, Bytes, Queue, Stack) is a data race unless it is Atomic, \

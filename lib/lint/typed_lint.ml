@@ -151,7 +151,7 @@ let printf_unit = function
 (* Fan-out points whose function argument runs on another domain. *)
 let fanout_point cu name =
   match (cu, name) with
-  | "Ncg_util__Parallel", ("map" | "init" | "chunked_map") -> true
+  | "Ncg_util__Parallel", "map" -> true
   | "Ncg_fault__Executor", "map" -> true
   | "Stdlib__Domain", "spawn" -> true
   | _ -> false

@@ -21,10 +21,8 @@
 type histogram
 
 (** [register name] returns the histogram named [name], creating it on
-    first use. Same contract as {!Metrics.register}: call at module
-    initialization time from the main domain only. Raises
-    [Invalid_argument] from a spawned domain or when the registry
-    (32 slots) is full. *)
+    first use. Init-time-only, main domain only, 32 slots: the
+    {!Registry} contract, which raises [Invalid_argument] otherwise. *)
 val register : string -> histogram
 
 val name : histogram -> string

@@ -15,19 +15,8 @@
 type counter
 
 (** [register name] returns the counter named [name], creating it on
-    first use.
-
-    {b Init-time-only contract.} The registry is plain unsynchronized
-    state: registering concurrently from two domains races, and a
-    registration that runs after domains were spawned could be observed
-    torn by them. So registration must happen at module initialization
-    time, from the main domain, before any fan-out — as all built-ins
-    below do. This is asserted: [register] raises [Invalid_argument]
-    when called from a spawned domain ([Domain.is_main_domain] is
-    false). Lookup of an already-registered name is O(1).
-
-    Raises [Invalid_argument] when the fixed-size registry (128 slots)
-    is full. *)
+    first use. Init-time-only, main domain only, 128 slots: the
+    {!Registry} contract, which raises [Invalid_argument] otherwise. *)
 val register : string -> counter
 
 (** The counter's registered name. *)
@@ -127,7 +116,7 @@ val collect : (unit -> 'a) -> 'a * snapshot
 (** Pointwise sum; counters missing from one operand count as 0. *)
 val merge : snapshot -> snapshot -> snapshot
 
-(** [total []] is the all-zero snapshot. *)
+(** Fold of {!merge}; [total []] is the empty snapshot [[]]. *)
 val total : snapshot list -> snapshot
 
 (** Snapshot as a JSON object, counter name to count, zeros dropped. *)

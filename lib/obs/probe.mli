@@ -1,7 +1,7 @@
 (** Named round-level probes: registered signals that record into
     {!Timeseries} while a probe collector is installed.
 
-    The registry mirrors {!Metrics}: probes are registered once, at
+    Probes live in the shared {!Registry}: registered once, at
     module-initialization time on the main domain, and the namespace is
     closed — [ncg_lint] checks every probe name literal in the tree
     against {!names} (rule O1), exactly like fault-site literals.
@@ -19,9 +19,8 @@
 
 type probe
 
-(** [register name] — init-time-only, main domain only, like
-    {!Metrics.register}. Raises [Invalid_argument] off the main domain or
-    when the fixed-size registry (32 slots) is full. *)
+(** [register name] — init-time-only, main domain only, 32 slots: the
+    {!Registry} contract, which raises [Invalid_argument] otherwise. *)
 val register : string -> probe
 
 (** The probe's registered name. *)

@@ -32,7 +32,7 @@ let service_task = "ncg.service.task/1"
 let lint_report = "ncg.lint.report/2"
 
 (* bench + bin/ncg_bench_diff *)
-let bench_experiment = "ncg.bench.experiment/4"
+let bench_experiment = "ncg.bench.experiment/5"
 let bench_fullgrid = "ncg.bench.fullgrid/1"
 let bench_baseline = "ncg.bench.baseline/1"
 let bench_history = "ncg.bench.history/1"

@@ -26,10 +26,10 @@ let () =
              (Filename.concat dir lock_name))
     | _ -> None)
 
-(* Advisory lock: DIR/LOCK is created with O_EXCL and holds the owning
-   PID. Stale locks (owner no longer running) are detected with a
-   kill-0 probe and swept; EPERM means the owner exists but belongs to
-   someone else, which still counts as held. *)
+(* Advisory lock: DIR/LOCK holds the owning PID. Stale locks (owner no
+   longer running) are detected with a kill-0 probe and swept; EPERM
+   means the owner exists but belongs to someone else, which still
+   counts as held. *)
 
 let read_lock_pid path =
   match open_in_bin path with
@@ -52,25 +52,37 @@ let stale_pid = function
   | None -> true (* unreadable/torn lock file *)
   | Some pid -> pid <> Unix.getpid () && not (pid_alive pid)
 
-(* Stale-lock takeover must be atomic: the naive check-then-remove lets
-   two simultaneous openers both sweep, with the second remove deleting
-   the first opener's *fresh* lock — two handles on one log. Instead a
-   contender claims the observed-stale lock file with rename(2) (exactly
-   one rename of a given file succeeds; losers see ENOENT and re-race
-   the O_EXCL create), then re-checks the claimed file's contents: if it
-   turns out live — the file was replaced by a fresh lock between the
-   staleness probe and the rename — it is restored with link(2) (atomic,
-   fails EEXIST rather than clobbering) and the opener reports Locked. *)
-let rec acquire_lock ?(sweep_stale = true) dir =
-  let path = Filename.concat dir lock_name in
-  match Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL ] 0o644 with
-  | fd ->
+(* Publish our PID as [path] atomically: write it to a per-process temp
+   file, then link(2) that file to [path] (raising EEXIST when a lock
+   already exists). A contender therefore never reads a live lock before
+   its PID is in it — an empty LOCK would look stale and be swept. *)
+let publish_pid path =
+  let tmp = path ^ ".new." ^ string_of_int (Unix.getpid ()) in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
+    (fun () ->
+      let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
       let line = Bytes.of_string (string_of_int (Unix.getpid ()) ^ "\n") in
       let rec w off =
         if off < Bytes.length line then
           w (off + Unix.write fd line off (Bytes.length line - off))
       in
-      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> w 0)
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> w 0);
+      Unix.link tmp path)
+
+(* Stale-lock takeover must be atomic: the naive check-then-remove lets
+   two simultaneous openers both sweep, with the second remove deleting
+   the first opener's *fresh* lock — two handles on one log. Instead a
+   contender claims the observed-stale lock file with rename(2) (exactly
+   one rename of a given file succeeds; losers see ENOENT and re-race
+   the link), then re-checks the claimed file's contents: if it
+   turns out live — the file was replaced by a fresh lock between the
+   staleness probe and the rename — it is restored with link(2) (atomic,
+   fails EEXIST rather than clobbering) and the opener reports Locked. *)
+let rec acquire_lock ?(sweep_stale = true) dir =
+  let path = Filename.concat dir lock_name in
+  match publish_pid path with
+  | () -> ()
   | exception Unix.Unix_error (Unix.EEXIST, _, _) ->
       let holder = read_lock_pid path in
       let stale = stale_pid holder in
@@ -96,7 +108,7 @@ let rec acquire_lock ?(sweep_stale = true) dir =
             (* Another contender claimed it first; fall through and
                re-race the create below. *)
             ());
-        (* One retry: if we lose the O_EXCL race after the sweep, the
+        (* One retry: if we lose the link race after the sweep, the
            new owner is alive and we report it. *)
         acquire_lock ~sweep_stale:false dir
       end

@@ -1,10 +1,11 @@
-let sequential_map f xs = List.map f xs
-
-let chunked_map ~domains f xs =
+let map ?domains f xs =
+  let domains =
+    match domains with Some d -> d | None -> Domain.recommended_domain_count ()
+  in
   let arr = Array.of_list xs in
   let n = Array.length arr in
   let domains = min domains n in
-  if domains <= 1 then sequential_map f xs
+  if domains <= 1 then List.map f xs
   else begin
     (* Contiguous chunk boundaries; the first [n mod domains] chunks get
        one extra element. *)
@@ -38,12 +39,3 @@ let chunked_map ~domains f xs =
       (Array.to_list chunks)
   end
 
-let map ?domains f xs =
-  let domains =
-    match domains with Some d -> d | None -> Domain.recommended_domain_count ()
-  in
-  chunked_map ~domains f xs
-
-let init ?domains n f =
-  if n < 0 then invalid_arg "Parallel.init: negative length";
-  map ?domains f (List.init n Fun.id)

@@ -17,7 +17,3 @@
     re-raised in the caller — so a failure never leaves stray domains
     running, and which exception surfaces is deterministic. *)
 val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
-
-(** [init ?domains n f] is [map f [0; ...; n-1]] without building the
-    input list. @raise Invalid_argument if [n < 0]. *)
-val init : ?domains:int -> int -> (int -> 'a) -> 'a list

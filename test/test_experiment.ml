@@ -81,22 +81,6 @@ let test_trials_deterministic () =
   let b = List.map (fun r -> r.Experiment.social_cost) (run ()) in
   Alcotest.(check (list (float 1e-12))) "reproducible" a b
 
-let test_parallel_trials_match_sequential () =
-  let cfg = Dynamics.default_config ~alpha:2.0 ~k:3 in
-  let make_initial ~seed = Experiment.initial_tree ~seed ~n:12 in
-  let seq = Experiment.trials ~make_initial ~config:cfg ~trials:6 ~seed:77 in
-  List.iter
-    (fun domains ->
-      let par =
-        Experiment.trials_parallel ~domains ~make_initial ~config:cfg ~trials:6
-          ~seed:77
-      in
-      Alcotest.(check (list (float 1e-12)))
-        (Printf.sprintf "identical at %d domains" domains)
-        (List.map (fun r -> r.Experiment.social_cost) seq)
-        (List.map (fun r -> r.Experiment.social_cost) par))
-    [ 1; 2; 4 ]
-
 let test_derive_seeds () =
   let a = Experiment.derive_seeds ~seed:42 ~count:8 in
   let b = Experiment.derive_seeds ~seed:42 ~count:8 in
@@ -396,8 +380,6 @@ let () =
           Alcotest.test_case "run_one" `Quick test_run_one;
           Alcotest.test_case "trials + summaries" `Quick test_trials_and_summaries;
           Alcotest.test_case "determinism" `Quick test_trials_deterministic;
-          Alcotest.test_case "parallel = sequential" `Quick
-            test_parallel_trials_match_sequential;
           Alcotest.test_case "ba/ws initials" `Quick test_initial_ba_ws;
           Alcotest.test_case "full knowledge views" `Quick test_full_knowledge_view_sizes;
           Alcotest.test_case "run_one = per-statistic oracles" `Quick

@@ -873,9 +873,15 @@ let test_registry_full () =
   in_forked_child "Histogram full" (fun () ->
       fills (fun n -> ignore (Histogram.register n)) hists 32);
   in_forked_child "Probe full" (fun () ->
-      fills (fun n -> ignore (Probe.register n)) (fun () -> List.length (Probe.names ())) 32);
+      fills
+        (fun n -> ignore (Probe.register n))
+        (fun () -> List.length (Probe.names ()))
+        32);
   in_forked_child "Inject full" (fun () ->
-      fills (fun n -> ignore (Inject.site n)) (fun () -> List.length (Inject.sites ())) 64)
+      fills
+        (fun n -> ignore (Inject.site n))
+        (fun () -> List.length (Inject.sites ()))
+        64)
 
 let test_registry_main_domain_only () =
   let rejected_off_main register =
@@ -886,7 +892,8 @@ let test_registry_main_domain_only () =
            | exception Invalid_argument _ -> true))
   in
   check_bool "Metrics" true (rejected_off_main (fun n -> ignore (Metrics.register n)));
-  check_bool "Histogram" true (rejected_off_main (fun n -> ignore (Histogram.register n)));
+  check_bool "Histogram" true
+    (rejected_off_main (fun n -> ignore (Histogram.register n)));
   check_bool "Probe" true (rejected_off_main (fun n -> ignore (Probe.register n)));
   check_bool "Inject.site" true (rejected_off_main (fun n -> ignore (Inject.site n)))
 
@@ -894,7 +901,8 @@ let test_registry_names () =
   let rejects_empty register =
     match register "" with () -> false | exception Invalid_argument _ -> true
   in
-  check_bool "Metrics empty name" true (rejects_empty (fun n -> ignore (Metrics.register n)));
+  check_bool "Metrics empty name" true
+    (rejects_empty (fun n -> ignore (Metrics.register n)));
   check_bool "Histogram empty name" true
     (rejects_empty (fun n -> ignore (Histogram.register n)));
   check_bool "Probe empty name" true (rejects_empty (fun n -> ignore (Probe.register n)));
@@ -930,10 +938,12 @@ let test_registry_decode_expands () =
   let registered = List.map fst (snd (Metrics.collect ignore)) in
   (match
      Metrics.of_json
-       (Json.Obj [ ("zz.u2", Json.Int 5); ("bfs.calls", Json.Int 1); ("zz.u1", Json.Int 2) ])
+       (Json.Obj
+          [ ("zz.u2", Json.Int 5); ("bfs.calls", Json.Int 1); ("zz.u1", Json.Int 2) ])
    with
   | Ok snap ->
-      check_bool "Metrics keys" true (List.map fst snap = registered @ [ "zz.u2"; "zz.u1" ]);
+      check_bool "Metrics keys" true
+        (List.map fst snap = registered @ [ "zz.u2"; "zz.u1" ]);
       check_int "Metrics known value" 1 (List.assoc "bfs.calls" snap);
       check_int "Metrics unknown value" 5 (List.assoc "zz.u2" snap)
   | Error e -> Alcotest.fail e);
@@ -946,7 +956,11 @@ let test_registry_decode_expands () =
            ("capacity", Json.Int 64);
            ( "series",
              Json.Obj
-               [ ("zz.p2", series); ("dynamics.awake_players", series); ("zz.p1", series) ]
+               [
+                 ("zz.p2", series);
+                 ("dynamics.awake_players", series);
+                 ("zz.p1", series);
+               ]
            );
          ])
   with

@@ -27,11 +27,6 @@ let test_more_domains_than_items () =
   check_int_list "n < domains" [ 2; 4; 6 ]
     (Parallel.map ~domains:16 (fun x -> 2 * x) [ 1; 2; 3 ])
 
-let test_init () =
-  check_int_list "init" [ 0; 2; 4; 6 ] (Parallel.init ~domains:2 4 (fun i -> 2 * i));
-  Alcotest.check_raises "negative" (Invalid_argument "Parallel.init: negative length")
-    (fun () -> ignore (Parallel.init (-1) Fun.id))
-
 let test_exception_propagates () =
   Alcotest.check_raises "raises" Exit (fun () ->
       ignore (Parallel.map ~domains:3 (fun x -> if x = 7 then raise Exit else x)
@@ -97,7 +92,6 @@ let () =
           Alcotest.test_case "order preserved" `Quick test_order_preserved;
           Alcotest.test_case "empty/singleton" `Quick test_empty_and_singleton;
           Alcotest.test_case "more domains than items" `Quick test_more_domains_than_items;
-          Alcotest.test_case "init" `Quick test_init;
           Alcotest.test_case "exceptions" `Quick test_exception_propagates;
           Alcotest.test_case "exception from spawned domain" `Quick
             test_exception_original_from_spawned_domain;

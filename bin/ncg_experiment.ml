@@ -17,17 +17,19 @@
    are appended (fsync'd) the moment they finish, so a killed sweep
    resumes from where it died. --resume is --store plus a guard that DIR
    already exists; --no-cache recomputes everything but still refreshes
-   the store. --only-cell ALPHA:K runs one cell of the grid with exactly
-   the seeds the full sweep would give it.
+   the store. --only-cell ALPHA:K runs one cell of the grid through the
+   same supervised attempt loop, with exactly the seeds and fault scope
+   the full sweep would give it.
 
    Sweeps run under a supervised executor (see docs/ROBUSTNESS.md): a
    failing cell is retried up to --max-retries times (backing off
    --retry-backoff-ms * attempt), then quarantined while every other
    cell completes; quarantines are listed on stderr and in the
    telemetry failure report ("sweep.failures") and make the exit code 3.
-   --cell-deadline-ms bounds each attempt (watchdog + cooperative
-   cancellation); --move-budget bounds a single player move's search
-   steps so a pathological cell times out instead of hanging.
+   --cell-deadline-ms bounds each attempt (cooperative cancellation at
+   the engine's checkpoints); --move-budget bounds a single player
+   move's search steps so a pathological cell times out instead of
+   hanging.
    --fault-plan SPEC (with --fault-seed) injects deterministic faults —
    raises, delays, short store writes — for testing that machinery;
    see docs/ROBUSTNESS.md for the plan syntax. SIGINT/SIGTERM flush the
@@ -163,10 +165,10 @@ let install_signal_handlers () =
     [ Sys.sigint; Sys.sigterm ]
 
 let run graph_class n p alphas ks trials seed budget domains store_dir resume
-    no_cache only_cell telemetry trace_out events quiet no_progress no_probes
+    no_cache only_cell telemetry trace_out events quiet no_probes
     fault_plan_spec fault_seed max_retries retry_backoff_ms cell_deadline_ms
     move_budget by_cell_seeds =
-  if quiet || no_progress then Ncg_obs.Events.set_progress false;
+  if quiet then Ncg_obs.Events.set_progress false;
   let probes = not no_probes in
   let fault_plan =
     match fault_plan_spec with
@@ -256,13 +258,8 @@ let run graph_class n p alphas ks trials seed budget domains store_dir resume
     | None -> None
     | Some spec ->
         let wanted = parse_only_cell spec in
-        let found = ref None in
-        List.iteri
-          (fun i (c : Experiment.cell) ->
-            if !found = None && c = wanted then found := Some i)
-          cells;
-        (match !found with
-        | Some _ -> ()
+        (match List.find_index (( = ) wanted) cells with
+        | Some _ as found -> found
         | None ->
             Printf.eprintf
               "ncg_experiment: --only-cell %s is not in the grid (alphas: %s; \
@@ -270,118 +267,15 @@ let run graph_class n p alphas ks trials seed budget domains store_dir resume
               spec
               (String.concat "," (List.map (Printf.sprintf "%g") alphas))
               (String.concat "," (List.map string_of_int ks));
-            exit 1);
-        !found
+            exit 1)
   in
   let started = Ncg_obs.Clock.now_ns () in
   let run_sweep () =
-    match only_idx with
-    | Some idx -> (
-        let cell = List.nth cells idx in
-        let cached =
-          if no_cache then None
-          else
-            Option.bind store (fun s ->
-                Experiment.store_lookup s (key_of idx cell))
-        in
-        match cached with
-        | Some r -> [ Ok r ]
-        | None ->
-            (* Reproduce the supervised path in isolation: arm the
-               installed fault plan with the cell's full-grid index as
-               scope — the same scope Executor.map would use — so
-               `--only-cell X --fault-plan P` replays exactly the faults
-               cell X saw inside the full sweep. Hit counters persist
-               across retries (no re-arm), the store insert is part of
-               the attempt, and --cell-deadline-ms is honoured
-               cooperatively through Cancel checkpoints (no watchdog
-               domain for a single cell). *)
-            let attempts_allowed = 1 + max_retries in
-            Ncg_fault.Inject.arm ~scope:idx;
-            let outcome =
-              Fun.protect ~finally:Ncg_fault.Inject.disarm (fun () ->
-                  let rec attempt a =
-                    match
-                      Ncg_fault.Cancel.with_control
-                        ?timeout_ns:cell_deadline_ns (fun () ->
-                          Ncg_fault.Inject.(hit sweep_cell);
-                          let r =
-                            Experiment.run_cell ~probes ~make_initial
-                              ~make_config ~trials ~cell_seed:cell_seeds.(idx)
-                              cell
-                          in
-                          (match store with
-                          | Some s when not no_cache ->
-                              Experiment.store_insert s (key_of idx cell) r
-                          | _ -> ());
-                          r)
-                    with
-                    | r -> Ok r
-                    | exception e ->
-                        let kind = Ncg_fault.Executor.classify e in
-                        let will_retry =
-                          kind <> Ncg_fault.Executor.Interrupted
-                          && a < attempts_allowed
-                        in
-                        if Ncg_obs.Events.active () then
-                          Ncg_obs.Events.emit ~severity:Ncg_obs.Events.Warn
-                            "sweep.cell.attempt_failed"
-                            [
-                              ("index", Json.Int idx);
-                              ("alpha", Json.Float cell.Experiment.alpha);
-                              ("k", Json.Int cell.Experiment.k);
-                              ("attempt", Json.Int a);
-                              ( "kind",
-                                Json.String
-                                  (Ncg_fault.Executor.kind_to_string kind) );
-                              ("error", Json.String (Printexc.to_string e));
-                              ("will_retry", Json.Bool will_retry);
-                            ];
-                        if will_retry then begin
-                          if retry_backoff_ns > 0L then
-                            Unix.sleepf
-                              (Int64.to_float retry_backoff_ns
-                              *. 1e-9 *. float_of_int a);
-                          attempt (a + 1)
-                        end
-                        else begin
-                          if Ncg_obs.Events.active () then
-                            Ncg_obs.Events.emit
-                              ~severity:Ncg_obs.Events.Error
-                              "sweep.cell.quarantined"
-                              [
-                                ("index", Json.Int idx);
-                                ("alpha", Json.Float cell.Experiment.alpha);
-                                ("k", Json.Int cell.Experiment.k);
-                                ("cell_seed", Json.Int cell_seeds.(idx));
-                                ("attempts", Json.Int a);
-                                ( "kind",
-                                  Json.String
-                                    (Ncg_fault.Executor.kind_to_string kind)
-                                );
-                                ("error", Json.String (Printexc.to_string e));
-                              ];
-                          Error
-                            {
-                              Experiment.index = idx;
-                              cell;
-                              cell_seed = cell_seeds.(idx);
-                              attempts = a;
-                              kind;
-                              exn_text = Printexc.to_string e;
-                              exn = e;
-                            }
-                        end
-                  in
-                  attempt 1)
-            in
-            [ outcome ])
-    | None ->
-        Experiment.sweep_supervised ~domains ~max_retries ~retry_backoff_ns
-          ?cell_deadline_ns
-          ?store:(if no_cache then None else store)
-          ~store_context:context ~probes ~cell_seeds ~make_initial ~make_config
-          ~cells ~trials ~seed ()
+    Experiment.sweep_supervised ?only:only_idx ~domains ~max_retries
+      ~retry_backoff_ns ?cell_deadline_ns
+      ?store:(if no_cache then None else store)
+      ~store_context:context ~probes ~cell_seeds ~make_initial ~make_config
+      ~cells ~trials ~seed ()
   in
   let outcomes =
     match events with
@@ -604,11 +498,6 @@ let quiet =
   Arg.(value & flag & info [ "quiet" ]
          ~doc:"Suppress the live progress line on stderr.")
 
-let no_progress =
-  Arg.(value & flag & info [ "no-progress" ]
-         ~doc:"Explicitly disable the live progress line (it is also \
-               auto-suppressed whenever stderr is not an interactive TTY).")
-
 let no_probes =
   Arg.(value & flag & info [ "no-probes" ]
          ~doc:"Skip the round-level convergence probes of each cell's \
@@ -657,7 +546,7 @@ let cmd =
     (Cmd.info "ncg_experiment" ~doc)
     Term.(const run $ graph_class $ n $ p $ alphas $ ks $ trials $ seed $ budget
           $ domains $ store_dir $ resume $ no_cache $ only_cell $ telemetry
-          $ trace_out $ events $ quiet $ no_progress $ no_probes
+          $ trace_out $ events $ quiet $ no_probes
           $ fault_plan_spec $ fault_seed $ max_retries $ retry_backoff_ms
           $ cell_deadline_ms $ move_budget $ by_cell_seeds)
 

@@ -132,10 +132,6 @@ let worker_main connect name poll_ms heartbeat_ms fault_plan fault_seed =
       Some (Thread.create (fun () -> heartbeat_loop addr name heartbeat_ms hb_stop) ())
     else None
   in
-  let member n = function
-    | Json.Obj fields -> List.assoc_opt n fields
-    | _ -> None
-  in
   let rec loop () =
     match rpc (Protocol.Lease { worker = name }) with
     | None -> () (* daemon gone *)
@@ -145,63 +141,37 @@ let worker_main connect name poll_ms heartbeat_ms fault_plan fault_seed =
     | Some (Protocol.Resp_ok fields) -> (
         match List.assoc_opt "task" fields with
         | Some (Json.Obj _ as task_json) -> (
-            let task_id =
-              match member "id" task_json with
-              | Some (Json.Int id) -> id
-              | _ ->
-                  Printf.eprintf "ncg_served: lease reply without task id\n%!";
+            let task =
+              match Protocol.task_of_json task_json with
+              | Ok task -> task
+              | Error msg ->
+                  Printf.eprintf "ncg_served: bad lease reply: %s\n%!" msg;
                   exit 1
             in
-            let spec =
-              match member "spec" task_json with
-              | Some spec_json -> (
-                  match Ncg.Sweep_spec.of_json spec_json with
-                  | Ok spec -> spec
-                  | Error msg ->
-                      Printf.eprintf "ncg_served: bad task spec: %s\n%!" msg;
-                      exit 1)
-              | None ->
-                  Printf.eprintf "ncg_served: lease reply without spec\n%!";
-                  exit 1
-            in
-            let cell =
-              match (member "alpha" task_json, member "k" task_json) with
-              | Some (Json.Float alpha), Some (Json.Int k) ->
-                  { Ncg.Experiment.alpha; k }
-              | Some (Json.Int alpha), Some (Json.Int k) ->
-                  { Ncg.Experiment.alpha = float_of_int alpha; k }
-              | _ ->
-                  Printf.eprintf "ncg_served: lease reply without cell\n%!";
-                  exit 1
-            in
-            (* Same fault discipline as in-process workers: arm with
-               the task id as scope, fire sweep.cell, report failures
-               as failed attempts. The cancellation flag is published
-               for the heartbeat thread, which sets it if the daemon
-               revokes this lease mid-cell. *)
-            Ncg_fault.Inject.arm ~scope:task_id;
-            let cancel_flag = Atomic.make false in
-            Atomic.set current_task (Some (task_id, cancel_flag));
+            let task_id = task.Protocol.id in
+            (* The cancellation flag is published for the heartbeat
+               thread, which sets it if the daemon revokes this lease
+               mid-cell. *)
+            let cancel = Atomic.make false in
+            Atomic.set current_task (Some (task_id, cancel));
             let outcome =
               Fun.protect
-                ~finally:(fun () ->
-                  Atomic.set current_task None;
-                  Ncg_fault.Inject.disarm ())
+                ~finally:(fun () -> Atomic.set current_task None)
                 (fun () ->
-                  try
-                    Ncg_fault.Inject.(hit sweep_cell);
-                    Ncg_fault.Cancel.with_control ~cancel:cancel_flag
-                      (fun () ->
-                        Ok
-                          (Ncg.Experiment.cell_result_to_json
-                             (Ncg.Sweep_spec.run_cell spec cell)))
-                  with e -> Error (Printexc.to_string e))
+                  Server.compute_cell ~task_id ~cancel task.Protocol.spec
+                    task.Protocol.cell)
             in
             let report =
               match outcome with
               | Ok result ->
                   Protocol.Complete { worker = name; task = task_id; result }
-              | Error error -> Protocol.Fail { worker = name; task = task_id; error }
+              | Error f ->
+                  Protocol.Fail
+                    {
+                      worker = name;
+                      task = task_id;
+                      error = f.Ncg_fault.Executor.exn_text;
+                    }
             in
             match rpc report with
             | Some (Protocol.Resp_ok _) -> loop ()

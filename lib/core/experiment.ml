@@ -429,22 +429,31 @@ let cell_failure_to_json (f : cell_failure) =
 
 let sweep_supervised ?(domains = 1) ?(max_retries = 0) ?(retry_backoff_ns = 0L)
     ?cell_deadline_ns ?store ?(store_context = []) ?(probes = true) ?cell_seeds
-    ~make_initial ~make_config ~cells ~trials:count ~seed () =
+    ?only ~make_initial ~make_config ~cells ~trials:count ~seed () =
   let cells = Array.of_list cells in
-  let total = Array.length cells in
+  let grid_size = Array.length cells in
   let cell_seeds =
     match cell_seeds with
     | Some a ->
-        if Array.length a <> total then
+        if Array.length a <> grid_size then
           invalid_arg "sweep_supervised: cell_seeds length mismatch";
         a
-    | None -> derive_seeds ~seed ~count:total
+    | None -> derive_seeds ~seed ~count:grid_size
+  in
+  let selected i = match only with None -> true | Some j -> i = j in
+  let total =
+    match only with
+    | None -> grid_size
+    | Some j ->
+        if j < 0 || j >= grid_size then
+          invalid_arg "sweep_supervised: only is not a grid index";
+        1
   in
   let keys =
     match store with
     | None -> [||]
     | Some _ ->
-        Array.init total (fun i ->
+        Array.init grid_size (fun i ->
             cell_cache_key ~probes ~context:store_context ~seed ~trials:count
               ~cell_seed:cell_seeds.(i) cells.(i))
   in
@@ -456,7 +465,9 @@ let sweep_supervised ?(domains = 1) ?(max_retries = 0) ?(retry_backoff_ns = 0L)
   let cached =
     match store with
     | None -> [||]
-    | Some s -> Array.init total (fun i -> store_lookup s keys.(i))
+    | Some s ->
+        Array.init grid_size (fun i ->
+            if selected i then store_lookup s keys.(i) else None)
   in
   let sweep_started = Ncg_obs.Clock.now_ns () in
   let finished = Atomic.make 0 in
@@ -542,25 +553,31 @@ let sweep_supervised ?(domains = 1) ?(max_retries = 0) ?(retry_backoff_ns = 0L)
           ~histograms:[]
   in
   let outcomes =
-    Ncg_fault.Executor.map ~domains ~max_retries ~backoff_ns:retry_backoff_ns
-      ?deadline_ns:cell_deadline_ns ~on_event task total
+    match only with
+    | None ->
+        Array.to_list
+          (Ncg_fault.Executor.map ~domains ~max_retries
+             ~backoff_ns:retry_backoff_ns ?deadline_ns:cell_deadline_ns
+             ~on_event task grid_size)
+    | Some i ->
+        [
+          Ncg_fault.Executor.supervise ~max_retries ~backoff_ns:retry_backoff_ns
+            ?deadline_ns:cell_deadline_ns ~on_event ~scope:i (task ~index:i);
+        ]
   in
   Ncg_obs.Events.progress_done ();
-  Array.to_list outcomes
-  |> List.mapi (fun i outcome ->
-         match outcome with
-         | Ok r -> Ok r
-         | Error (fl : Ncg_fault.Executor.failure) ->
-             Error
-               {
-                 index = i;
-                 cell = cells.(i);
-                 cell_seed = cell_seeds.(i);
-                 attempts = fl.attempts;
-                 kind = fl.kind;
-                 exn_text = fl.exn_text;
-                 exn = fl.exn;
-               })
+  List.map
+    (Result.map_error (fun (fl : Ncg_fault.Executor.failure) ->
+         {
+           index = fl.index;
+           cell = cells.(fl.index);
+           cell_seed = cell_seeds.(fl.index);
+           attempts = fl.attempts;
+           kind = fl.kind;
+           exn_text = fl.exn_text;
+           exn = fl.exn;
+         }))
+    outcomes
 
 let sweep_failures outcomes =
   List.filter_map (function Ok _ -> None | Error f -> Some f) outcomes

@@ -119,8 +119,7 @@ val grid : alphas:float list -> ks:int list -> cell list
 (** [run_cell ~make_initial ~make_config ~trials ~cell_seed cell] runs a
     single instrumented cell exactly as {!sweep} would: [cell_seed] must
     be the cell's entry in [derive_seeds ~seed ~count:(List.length
-    cells)] for the sweep being reproduced. This is the engine behind
-    [ncg_experiment --only-cell].
+    cells)] for the sweep being reproduced.
 
     [probes] (default true) installs an {!Ncg_obs.Probe} collector
     around trial 0, recording the round-level convergence series of the
@@ -163,14 +162,21 @@ val cell_failure_to_json : cell_failure -> Ncg_obs.Json.t
     [max_retries] (default 0) extra attempts and was quarantined — the
     sweep always completes every other cell.
 
-    Per attempt, a cell runs under [cell_deadline_ns] (watchdog domain +
-    cooperative {!Ncg_fault.Cancel.checkpoint} polls in the dynamics
-    loop); retries back off [retry_backoff_ns * attempt] (a
-    deterministic schedule). Each cell's task is armed for fault
+    Per attempt, a cell runs under [cell_deadline_ns] (enforced at the
+    cooperative {!Ncg_fault.Cancel.checkpoint} polls of the dynamics
+    loop and the solver); retries back off [retry_backoff_ns * attempt]
+    (a deterministic schedule). Each cell's task is armed for fault
     injection with [scope = index] (see {!Ncg_fault.Inject}), and passes
     through the ["sweep.cell"] fault site. Failed attempts emit
     ["sweep.cell.attempt_failed"] (warn) and quarantines
     ["sweep.cell.quarantined"] (error) structured events.
+
+    [only] (the engine behind [ncg_experiment --only-cell]) runs just
+    the cell at that grid index, on the calling domain, through the same
+    attempt loop ({!Ncg_fault.Executor.supervise}) with the same seed,
+    cache key and fault scope it has in the full sweep, and returns its
+    one outcome — which equals entry [only] of the full sweep's outcome
+    list. Raises [Invalid_argument] if [only] is not a grid index.
 
     With [?store], each cell is looked up by its {!cell_cache_key}
     before the fan-out; hits are returned without recomputation
@@ -205,6 +211,7 @@ val sweep_supervised :
   ?store_context:(string * Ncg_obs.Json.t) list ->
   ?probes:bool ->
   ?cell_seeds:int array ->
+  ?only:int ->
   make_initial:(seed:int -> Strategy.t) ->
   make_config:(cell -> Dynamics.config) ->
   cells:cell list ->

@@ -38,7 +38,7 @@ let checkpoint () =
   | None -> ()
   | Some c ->
       (match c.cancel with
-      | Some flag when Atomic.get flag -> raise (Timed_out "watchdog")
+      | Some flag when Atomic.get flag -> raise (Timed_out "cancelled")
       | _ -> ());
       if c.steps_left >= 0 then begin
         Metrics.incr move_steps;

@@ -6,9 +6,8 @@
     read plus one domain-local read — and raises when any of the
     installed limits has tripped:
 
-    - {!Timed_out} when the supervising executor's watchdog flagged the
-      task, the task's own deadline passed, or the per-move step budget
-      ran out;
+    - {!Timed_out} when the task's cancellation flag was set, its own
+      deadline passed, or the per-move step budget ran out;
     - {!Interrupted} after {!request_shutdown} (the SIGINT/SIGTERM path
       of [ncg_experiment]).
 
@@ -19,7 +18,7 @@
     player move). *)
 
 (** Raised by {!checkpoint}; the payload says which limit tripped
-    (["watchdog"], ["deadline"], ["step budget exhausted"]). *)
+    (["cancelled"], ["deadline"], ["step budget exhausted"]). *)
 exception Timed_out of string
 
 (** Raised by {!checkpoint} after {!request_shutdown}; the payload is
@@ -29,8 +28,8 @@ exception Interrupted of int
 (** [with_control ?timeout_ns ?cancel f] runs [f] with a fresh control
     installed in the calling domain: an absolute deadline [timeout_ns]
     from now (if given) and an external cancellation flag (if given —
-    the executor's watchdog sets it). Restores the previous control on
-    exit. *)
+    the sweep service sets it when a lease is revoked). Restores the
+    previous control on exit. *)
 val with_control :
   ?timeout_ns:int64 -> ?cancel:bool Atomic.t -> (unit -> 'a) -> 'a
 

@@ -1,5 +1,3 @@
-module Clock = Ncg_obs.Clock
-
 type kind = Timeout | Interrupted | Crashed
 
 let kind_to_string = function
@@ -31,96 +29,48 @@ let classify = function
   | Cancel.Interrupted _ -> Interrupted
   | _ -> Crashed
 
-let map ?(domains = 1) ?(max_retries = 0) ?(backoff_ns = 0L) ?deadline_ns
-    ?(on_event = fun (_ : event) -> ()) f n =
+let supervise ?(max_retries = 0) ?(backoff_ns = 0L) ?deadline_ns ?cancel
+    ?(on_event = fun (_ : event) -> ()) ~scope f =
+  let rec go attempt =
+    on_event (Attempt_started { index = scope; attempt });
+    match
+      Cancel.with_control ?timeout_ns:deadline_ns ?cancel (fun () -> f ~attempt)
+    with
+    | v -> Ok v
+    | exception e ->
+        let kind = classify e in
+        let exn_text = Printexc.to_string e in
+        let will_retry =
+          kind <> Interrupted && attempt <= max_retries
+          && Cancel.shutdown_requested () = None
+        in
+        on_event
+          (Attempt_failed { index = scope; attempt; kind; exn_text; will_retry });
+        if will_retry then begin
+          if backoff_ns > 0L then
+            Unix.sleepf
+              (Int64.to_float (Int64.mul backoff_ns (Int64.of_int attempt))
+              *. 1e-9);
+          go (attempt + 1)
+        end
+        else begin
+          let fl = { index = scope; attempts = attempt; kind; exn_text; exn = e } in
+          on_event (Quarantined fl);
+          Error fl
+        end
+  in
+  Inject.arm ~scope;
+  Fun.protect ~finally:Inject.disarm (fun () -> go 1)
+
+let map ?(domains = 1) ?max_retries ?backoff_ns ?deadline_ns ?on_event f n =
   if n = 0 then [||]
   else begin
     let domains = max 1 (min domains n) in
     let results = Array.make n None in
     let next = Atomic.make 0 in
-    (* Watchdog slots: when worker [w] starts an attempt it publishes the
-       start time; the watchdog flags [cancels.(w)] once the attempt has
-       been running past the deadline, and the task's next cooperative
-       checkpoint raises. *)
-    let busy_since = Array.init domains (fun _ -> Atomic.make 0L) in
-    let cancels = Array.init domains (fun _ -> Atomic.make false) in
-    let stop_watchdog = Atomic.make false in
-    let watchdog =
-      match deadline_ns with
-      | None -> None
-      | Some d ->
-          Some
-            (Domain.spawn (fun () ->
-                 let period =
-                   Float.min 0.05
-                     (Float.max 0.001 (Int64.to_float d *. 1e-9 /. 8.))
-                 in
-                 while not (Atomic.get stop_watchdog) do
-                   Unix.sleepf period;
-                   let now = Clock.now_ns () in
-                   for w = 0 to domains - 1 do
-                     let since = Atomic.get busy_since.(w) in
-                     if since <> 0L && Int64.compare (Int64.sub now since) d > 0
-                     then Atomic.set cancels.(w) true
-                   done
-                 done))
-    in
-    let run_task w i =
-      Inject.arm ~scope:i;
-      let rec go attempt =
-        on_event (Attempt_started { index = i; attempt });
-        Atomic.set cancels.(w) false;
-        Atomic.set busy_since.(w) (Clock.now_ns ());
-        match
-          Cancel.with_control ?timeout_ns:deadline_ns ~cancel:cancels.(w)
-            (fun () -> f ~index:i ~attempt)
-        with
-        | v ->
-            Atomic.set busy_since.(w) 0L;
-            Ok v
-        | exception e ->
-            Atomic.set busy_since.(w) 0L;
-            let kind = classify e in
-            let will_retry =
-              kind <> Interrupted && attempt <= max_retries
-              && Cancel.shutdown_requested () = None
-            in
-            on_event
-              (Attempt_failed
-                 {
-                   index = i;
-                   attempt;
-                   kind;
-                   exn_text = Printexc.to_string e;
-                   will_retry;
-                 });
-            if will_retry then begin
-              if backoff_ns > 0L then
-                Unix.sleepf
-                  (Int64.to_float (Int64.mul backoff_ns (Int64.of_int attempt))
-                  *. 1e-9);
-              go (attempt + 1)
-            end
-            else begin
-              let fl =
-                {
-                  index = i;
-                  attempts = attempt;
-                  kind;
-                  exn_text = Printexc.to_string e;
-                  exn = e;
-                }
-              in
-              on_event (Quarantined fl);
-              Error fl
-            end
-      in
-      let r = Fun.protect ~finally:Inject.disarm (fun () -> go 1) in
-      results.(i) <- Some r
-    in
     let worker_error : (int * exn) option Atomic.t = Atomic.make None in
     let worker w =
-      (* run_task catches all task exceptions; anything escaping here is
+      (* supervise catches all task exceptions; anything escaping here is
          an executor/on_event bug — record the lowest-worker one and
          re-raise it after the join so it is never swallowed. *)
       try
@@ -128,7 +78,10 @@ let map ?(domains = 1) ?(max_retries = 0) ?(backoff_ns = 0L) ?deadline_ns
           if Cancel.shutdown_requested () = None then begin
             let i = Atomic.fetch_and_add next 1 in
             if i < n then begin
-              run_task w i;
+              results.(i) <-
+                Some
+                  (supervise ?max_retries ?backoff_ns ?deadline_ns ?on_event
+                     ~scope:i (f ~index:i));
               loop ()
             end
           end
@@ -149,11 +102,6 @@ let map ?(domains = 1) ?(max_retries = 0) ?(backoff_ns = 0L) ?deadline_ns
     in
     worker 0;
     Array.iter Domain.join spawned;
-    (match watchdog with
-    | None -> ()
-    | Some d ->
-        Atomic.set stop_watchdog true;
-        Domain.join d);
     (match Atomic.get worker_error with
     | Some (_, e) -> raise e
     | None -> ());

@@ -204,6 +204,50 @@ let response_of_json j =
       | _ -> Error "response: missing \"error\"")
   | _ -> Error "response: missing schema or \"ok\""
 
+let cell_fields spec (cell : Ncg.Experiment.cell) =
+  [
+    ("spec", Ncg.Sweep_spec.to_json spec);
+    ("alpha", Json.Float cell.Ncg.Experiment.alpha);
+    ("k", Json.Int cell.Ncg.Experiment.k);
+  ]
+
+let cell_of_json j =
+  let ( let* ) = Result.bind in
+  let* spec =
+    match member "spec" j with
+    | Some s -> Ncg.Sweep_spec.of_json s
+    | None -> Error "task: missing \"spec\""
+  in
+  let* alpha =
+    match member "alpha" j with
+    | Some (Json.Float a) -> Ok a
+    | Some (Json.Int a) -> Ok (float_of_int a)
+    | _ -> Error "task: missing number field \"alpha\""
+  in
+  match member "k" j with
+  | Some (Json.Int k) -> Ok (spec, { Ncg.Experiment.alpha; k })
+  | _ -> Error "task: missing integer field \"k\""
+
+type task = {
+  id : int;
+  spec : Ncg.Sweep_spec.t;
+  cell : Ncg.Experiment.cell;
+  attempts : int;
+}
+
+let task_to_json t =
+  Json.Obj
+    ((("id", Json.Int t.id) :: cell_fields t.spec t.cell)
+    @ [ ("attempts", Json.Int t.attempts) ])
+
+let task_of_json j =
+  let ( let* ) = Result.bind in
+  let* spec, cell = cell_of_json j in
+  match (member "id" j, member "attempts" j) with
+  | Some (Json.Int id), Some (Json.Int attempts) ->
+      Ok { id; spec; cell; attempts }
+  | _ -> Error "task: missing integer field \"id\" or \"attempts\""
+
 let send_line oc json =
   output_string oc (Json.to_string json);
   output_char oc '\n';

@@ -71,6 +71,31 @@ val response_schema : string
 val response_to_json : response -> Ncg_obs.Json.t
 val response_of_json : Ncg_obs.Json.t -> (response, string) result
 
+(** {1 Leased tasks}
+
+    The ["task"] object of a granted {!Lease} reply. The daemon encodes
+    it and [ncg_served --worker] decodes it through this one codec. *)
+
+(** [cell_fields spec cell] is the [spec], [alpha], [k] fields every
+    task encoding carries (the daemon's queue payload too). *)
+val cell_fields :
+  Ncg.Sweep_spec.t -> Ncg.Experiment.cell -> (string * Ncg_obs.Json.t) list
+
+(** Reads {!cell_fields} back out of an object, accepting an integral
+    [alpha] written as a JSON integer. *)
+val cell_of_json :
+  Ncg_obs.Json.t -> (Ncg.Sweep_spec.t * Ncg.Experiment.cell, string) result
+
+type task = {
+  id : int;  (** queue entry id; echoed in {!Complete} / {!Fail} *)
+  spec : Ncg.Sweep_spec.t;
+  cell : Ncg.Experiment.cell;
+  attempts : int;  (** this lease's attempt number, from 1 *)
+}
+
+val task_to_json : task -> Ncg_obs.Json.t
+val task_of_json : Ncg_obs.Json.t -> (task, string) result
+
 (** {1 Line transport} *)
 
 (** [send_line oc json] writes the compact rendering plus ['\n'] and

@@ -94,44 +94,18 @@ let locked t f =
 
 let task_schema = Ncg_obs.Schema.service_task
 
-let task_payload spec (cell : Experiment.cell) =
+let task_payload spec cell =
   Json.to_string
     (Json.Obj
-       [
-         ("schema", Json.String task_schema);
-         ("spec", Sweep_spec.to_json spec);
-         ("alpha", Json.Float cell.Experiment.alpha);
-         ("k", Json.Int cell.Experiment.k);
-       ])
+       (("schema", Json.String task_schema) :: Protocol.cell_fields spec cell))
 
 let task_of_payload payload =
-  let ( let* ) = Result.bind in
-  let* j = Json.of_string payload in
-  let member name =
-    match j with Json.Obj f -> List.assoc_opt name f | _ -> None
-  in
-  let* () =
-    match member "schema" with
-    | Some (Json.String s) when String.equal s task_schema -> Ok ()
-    | _ -> Error "task: bad schema"
-  in
-  let* spec =
-    match member "spec" with
-    | Some s -> Sweep_spec.of_json s
-    | None -> Error "task: missing spec"
-  in
-  let* alpha =
-    match member "alpha" with
-    | Some (Json.Float a) -> Ok a
-    | Some (Json.Int a) -> Ok (float_of_int a)
-    | _ -> Error "task: missing alpha"
-  in
-  let* k =
-    match member "k" with
-    | Some (Json.Int k) -> Ok k
-    | _ -> Error "task: missing k"
-  in
-  Ok (spec, { Experiment.alpha; k })
+  match Json.of_string payload with
+  | Ok (Json.Obj fields as j)
+    when List.assoc_opt "schema" fields = Some (Json.String task_schema) ->
+      Protocol.cell_of_json j
+  | Ok _ -> Error "task: bad schema"
+  | Error msg -> Error msg
 
 (* --- Worker pool events -------------------------------------------------- *)
 

@@ -114,8 +114,8 @@ type task = {
   cell : Ncg.Experiment.cell;
   attempts : int;
   revoked : bool Atomic.t;
-      (** set on cancellation — in-process executors pass it to
-          [Ncg_fault.Cancel.with_control] so the next checkpoint
+      (** set on cancellation — in-process workers pass it to
+          [Server.compute_cell] as [cancel], so the next checkpoint
           abandons the cell *)
 }
 

@@ -148,23 +148,10 @@ let close_subscribers pump =
 
 (* --- In-process workers -------------------------------------------------- *)
 
-let compute_task (task : Scheduler.task) =
-  (* Mirror the supervised executor's fault discipline: arm with the
-     task id as scope, fire the sweep.cell site, then run — under a
-     cancellation control wired to the task's revocation flag, so a
-     client cancel trips the next cooperative checkpoint mid-cell. Any
-     exception — injected, revoked or real — reports as a failed
-     attempt. *)
-  Ncg_fault.Inject.arm ~scope:task.Scheduler.task_id;
-  Fun.protect ~finally:Ncg_fault.Inject.disarm (fun () ->
-      try
-        Ncg_fault.Inject.(hit sweep_cell);
-        Ncg_fault.Cancel.with_control ~cancel:task.Scheduler.revoked (fun () ->
-            Ok
-              (Ncg.Experiment.cell_result_to_json
-                 (Ncg.Sweep_spec.run_cell task.Scheduler.spec
-                    task.Scheduler.cell)))
-      with e -> Error (Printexc.to_string e))
+let compute_cell ~task_id ~cancel spec cell =
+  Ncg_fault.Executor.supervise ~cancel ~scope:task_id (fun ~attempt:_ ->
+      Ncg_fault.Inject.(hit sweep_cell);
+      Ncg.Experiment.cell_result_to_json (Ncg.Sweep_spec.run_cell spec cell))
 
 let worker_loop ~name ~poll_ms scheduler =
   Scheduler.register_worker ~local:true scheduler ~worker:name;
@@ -179,17 +166,22 @@ let worker_loop ~name ~poll_ms scheduler =
           Unix.sleepf (float_of_int poll_ms /. 1000.);
           loop ()
       | Scheduler.Granted task ->
-          (match compute_task task with
+          (match
+             compute_cell ~task_id:task.Scheduler.task_id
+               ~cancel:task.Scheduler.revoked task.Scheduler.spec
+               task.Scheduler.cell
+           with
           | Ok result ->
               ignore
                 (Scheduler.complete scheduler ~worker:name
                    ~task:task.Scheduler.task_id result)
-          | Error msg ->
+          | Error f ->
               (* A revoked lease is already resolved daemon-side; the
                  rejected report below is expected and ignored. *)
               ignore
                 (Scheduler.fail scheduler ~worker:name
-                   ~task:task.Scheduler.task_id ~error:msg));
+                   ~task:task.Scheduler.task_id
+                   ~error:f.Ncg_fault.Executor.exn_text));
           loop ()
   in
   loop ()
@@ -277,15 +269,13 @@ let handle_request scheduler pump conn_worker oc = function
           Protocol.Resp_ok
             [
               ( "task",
-                Json.Obj
-                  [
-                    ("id", Json.Int task.Scheduler.task_id);
-                    ("spec", Ncg.Sweep_spec.to_json task.Scheduler.spec);
-                    ( "alpha",
-                      Json.Float task.Scheduler.cell.Ncg.Experiment.alpha );
-                    ("k", Json.Int task.Scheduler.cell.Ncg.Experiment.k);
-                    ("attempts", Json.Int task.Scheduler.attempts);
-                  ] );
+                Protocol.task_to_json
+                  {
+                    Protocol.id = task.Scheduler.task_id;
+                    spec = task.Scheduler.spec;
+                    cell = task.Scheduler.cell;
+                    attempts = task.Scheduler.attempts;
+                  } );
             ])
   | Protocol.Complete { worker; task; result } -> (
       conn_worker := Some worker;

@@ -35,6 +35,19 @@ type config = {
           terminal and the queue is empty — CI smoke mode *)
 }
 
+(** [compute_cell ~task_id ~cancel spec cell] runs one leased cell for
+    every worker, in-process or [ncg_served --worker]: one
+    {!Ncg_fault.Executor.supervise} attempt with fault scope [task_id],
+    cut off at its next checkpoint once [cancel] (the lease's revocation
+    flag) is set. [Ok] is the encoded cell result; an [Error] is
+    reported as a failed attempt (the scheduler owns retries). *)
+val compute_cell :
+  task_id:int ->
+  cancel:bool Atomic.t ->
+  Ncg.Sweep_spec.t ->
+  Ncg.Experiment.cell ->
+  (Ncg_obs.Json.t, Ncg_fault.Executor.failure) result
+
 (** [listen addr] binds and listens. For a Unix address, a leftover
     socket file from a dead daemon is detected (probe connect) and
     replaced; a live one raises [Unix.Unix_error (EADDRINUSE, _, _)]. *)

@@ -134,6 +134,64 @@ let sweep_fixture ?probes ~domains () =
     ~cells:(Experiment.grid ~alphas:[ 0.5; 2.0 ] ~ks:[ 2; 3; 1000 ])
     ~trials:3 ~seed:2014 ()
 
+(* --- --only-cell replay ------------------------------------------------------
+
+   [sweep_supervised ~only:i] (the engine behind [ncg_experiment
+   --only-cell]) must replay grid cell [i] exactly as the full sweep ran
+   it: same seed, same fault scope, same attempt loop. Under a seeded
+   probabilistic crash plan that means the same row for a survivor and
+   the same quarantine — attempts, kind, error — for a victim. *)
+
+let replay_trials = 2
+
+let supervised_fixture ?only ~max_retries () =
+  Experiment.sweep_supervised ?only ~domains:2 ~max_retries
+    ~make_initial:(fun ~seed -> Experiment.initial_tree ~seed ~n:12)
+    ~make_config:(fun (c : Experiment.cell) ->
+      {
+        (Dynamics.default_config ~alpha:c.Experiment.alpha ~k:c.Experiment.k) with
+        Dynamics.collect_features = false;
+      })
+    ~cells:(Experiment.grid ~alphas:[ 0.5; 2.0 ] ~ks:[ 2; 3; 1000 ])
+    ~trials:replay_trials ~seed:2014 ()
+
+let outcome_summary = function
+  | Ok r ->
+      Ok
+        (Experiment.csv_row ~graph_class:"tree" ~n:12 ~p:0.1
+           ~trials:replay_trials r)
+  | Error (f : Experiment.cell_failure) ->
+      Error
+        ( f.Experiment.index,
+          f.Experiment.attempts,
+          Ncg_fault.Executor.kind_to_string f.Experiment.kind,
+          f.Experiment.exn_text )
+
+let test_only_cell_replays_full_sweep () =
+  (match Ncg_fault.Inject.parse_plan ~seed:7 "sweep.cell=raise@p:0.5" with
+  | Ok plan -> Ncg_fault.Inject.install plan
+  | Error msg -> Alcotest.failf "plan: %s" msg);
+  Fun.protect ~finally:Ncg_fault.Inject.clear (fun () ->
+      List.iter
+        (fun max_retries ->
+          let full =
+            List.map outcome_summary (supervised_fixture ~max_retries ())
+          in
+          check_bool "some cell quarantined" true
+            (List.exists Result.is_error full);
+          check_bool "some cell survived" true (List.exists Result.is_ok full);
+          List.iteri
+            (fun i expected ->
+              match supervised_fixture ~only:i ~max_retries () with
+              | [ outcome ] ->
+                  check_bool
+                    (Printf.sprintf "cell %d, max_retries %d" i max_retries)
+                    true
+                    (outcome_summary outcome = expected)
+              | _ -> Alcotest.fail "~only returns one outcome")
+            full)
+        [ 0; 1 ])
+
 let test_sweep_shape () =
   let results = sweep_fixture ~domains:1 () in
   check_int "six cells" 6 (List.length results);
@@ -397,6 +455,8 @@ let () =
             test_sweep_counters_isolated_per_cell;
           Alcotest.test_case "probes toggle + exemplar series" `Quick
             test_probes_toggle_and_series;
+          Alcotest.test_case "--only-cell replays the full sweep" `Quick
+            test_only_cell_replays_full_sweep;
         ] );
       ( "summary",
         [

@@ -331,6 +331,23 @@ let test_executor_shutdown_marks_unstarted () =
               check_bool "kind" true (f.Executor.kind = Executor.Interrupted))
         [ 3; 4; 5 ])
 
+let test_supervise_no_retry_after_shutdown () =
+  hermetic (fun () ->
+      (* A shutdown request stops retries even when the failure itself
+         is an ordinary crash, not an Interrupted checkpoint. *)
+      let ran = ref 0 in
+      match
+        Executor.supervise ~max_retries:3 ~scope:0 (fun ~attempt:_ ->
+            incr ran;
+            Cancel.request_shutdown 15;
+            failwith "boom")
+      with
+      | Ok () -> Alcotest.fail "task should fail"
+      | Error f ->
+          check_int "attempts" 1 f.Executor.attempts;
+          check_bool "kind" true (f.Executor.kind = Executor.Crashed);
+          check_int "ran once" 1 !ran)
+
 let test_executor_fault_plan_deterministic () =
   hermetic (fun () ->
       install "sweep.cell=raise@p:0.45";
@@ -659,6 +676,8 @@ let () =
           Alcotest.test_case "deadline" `Quick test_executor_deadline;
           Alcotest.test_case "shutdown marks unstarted" `Quick
             test_executor_shutdown_marks_unstarted;
+          Alcotest.test_case "no retry after shutdown" `Quick
+            test_supervise_no_retry_after_shutdown;
           Alcotest.test_case "fault plan deterministic" `Quick
             test_executor_fault_plan_deterministic;
         ] );

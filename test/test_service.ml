@@ -124,6 +124,51 @@ let test_request_roundtrip () =
   | Protocol.Stats -> ()
   | _ -> Alcotest.fail "stats"
 
+let test_task_roundtrip () =
+  List.iter
+    (fun alpha ->
+      let task =
+        {
+          Protocol.id = 17;
+          spec = tiny_spec;
+          cell = { Experiment.alpha; k = 3 };
+          attempts = 2;
+        }
+      in
+      let wire = Json.to_string (Protocol.task_to_json task) in
+      (* The lease reply's bytes: {id, spec, alpha, k, attempts}. *)
+      check_string "wire bytes"
+        (Json.to_string
+           (Json.Obj
+              [
+                ("id", Json.Int 17);
+                ("spec", Sweep_spec.to_json tiny_spec);
+                ("alpha", Json.Float alpha);
+                ("k", Json.Int 3);
+                ("attempts", Json.Int 2);
+              ]))
+        wire;
+      match Result.bind (Json.of_string wire) Protocol.task_of_json with
+      | Ok t -> check_bool "task survives the wire" true (t = task)
+      | Error msg -> Alcotest.failf "task did not round-trip: %s" msg)
+    [ 0.5; 3.0 ];
+  (* Another encoder may write an integral alpha as a JSON integer. *)
+  let int_alpha =
+    Json.Obj
+      [
+        ("id", Json.Int 1);
+        ("spec", Sweep_spec.to_json tiny_spec);
+        ("alpha", Json.Int 3);
+        ("k", Json.Int 2);
+        ("attempts", Json.Int 1);
+      ]
+  in
+  match Protocol.task_of_json int_alpha with
+  | Ok t ->
+      check_bool "integral alpha decodes" true
+        (t.Protocol.cell = { Experiment.alpha = 3.0; k = 2 })
+  | Error msg -> Alcotest.failf "integral alpha rejected: %s" msg
+
 (* PR 8 speakers send schema /1 and no worker flag; the v2 daemon must
    keep understanding them verbatim. *)
 let test_request_v1_schema_accepted () =
@@ -634,15 +679,19 @@ let test_scheduler_cancel_revokes_lease () =
           | Error msg -> Alcotest.failf "cancel failed: %s" msg);
           check_bool "revocation flag set" true
             (Atomic.get task.Scheduler.revoked);
-          (* The in-process execution path: the revoked flag trips the
+          (* The workers' cell runner: the revoked flag trips the
              computation's next cooperative checkpoint mid-cell. *)
           (match
-             Ncg_fault.Cancel.with_control ~cancel:task.Scheduler.revoked
-               (fun () ->
-                 Sweep_spec.run_cell task.Scheduler.spec task.Scheduler.cell)
+             Ncg_service.Server.compute_cell ~task_id:task.Scheduler.task_id
+               ~cancel:task.Scheduler.revoked task.Scheduler.spec
+               task.Scheduler.cell
            with
-          | _ -> Alcotest.fail "revoked cell must abort at a checkpoint"
-          | exception Ncg_fault.Cancel.Timed_out _ -> ());
+          | Ok _ -> Alcotest.fail "revoked cell must abort at a checkpoint"
+          | Error f ->
+              check_int "one attempt" 1 f.Ncg_fault.Executor.attempts;
+              check_bool "reported as cancelled" true
+                (f.Ncg_fault.Executor.exn
+                = Ncg_fault.Cancel.Timed_out "cancelled"));
           (* The remote path: the worker's next heartbeat carries the
              revocation, exactly once. *)
           let _, revoked_ids = Scheduler.heartbeat t ~worker:"rw" in
@@ -798,6 +847,7 @@ let () =
           Alcotest.test_case "v1 schema still accepted" `Quick
             test_request_v1_schema_accepted;
           Alcotest.test_case "response round-trip" `Quick test_response_roundtrip;
+          Alcotest.test_case "lease task round-trip" `Quick test_task_roundtrip;
         ] );
       ( "work_queue",
         [

@@ -31,21 +31,7 @@ exception Bad_input of string
 let failf fmt = Printf.ksprintf (fun s -> raise (Bad_input s)) fmt
 
 let read_json path =
-  let contents =
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with Sys_error e -> failf "%s: %s" path e
-  in
-  match Json.of_string contents with
-  | Ok j -> j
-  | Error e -> failf "%s: %s" path e
-
-let member name = function
-  | Json.Obj fields -> List.assoc_opt name fields
-  | _ -> None
+  match Json.of_file path with Ok j -> j | Error e -> failf "%s: %s" path e
 
 let number path = function
   | Some (Json.Int i) -> float_of_int i
@@ -64,27 +50,28 @@ type cell = {
 let cell_of_json file j =
   let ctx = Printf.sprintf "%s: cell" file in
   let counters =
-    match member "counters" j with
+    match Json.member "counters" j with
     | Some (Json.Obj fields) ->
         List.map (fun (name, v) -> (name, number (ctx ^ "." ^ name) (Some v))) fields
     | _ -> failf "%s: missing counters" ctx
   in
   {
-    alpha = number (ctx ^ ".alpha") (member "alpha" j);
-    k = int_of_float (number (ctx ^ ".k") (member "k" j));
+    alpha = number (ctx ^ ".alpha") (Json.member "alpha" j);
+    k = int_of_float (number (ctx ^ ".k") (Json.member "k" j));
     allocated_words =
       (* Bench outputs nest it under "gc"; the baseline stores it flat. *)
-      (match member "allocated_words" j with
+      (match Json.member "allocated_words" j with
       | Some _ as flat -> number (ctx ^ ".allocated_words") flat
       | None ->
           number (ctx ^ ".gc.allocated_words")
-            (Option.bind (member "gc" j) (member "allocated_words")));
-    wall_seconds = number (ctx ^ ".wall_seconds") (member "wall_seconds" j);
+            (Option.bind (Json.member "gc" j) (Json.member "allocated_words")));
+    wall_seconds =
+      number (ctx ^ ".wall_seconds") (Json.member "wall_seconds" j);
     counters;
   }
 
 let cells_of_bench file j =
-  match member "cells" j with
+  match Json.member "cells" j with
   | Some (Json.List cells) -> List.map (cell_of_json file) cells
   | _ -> failf "%s: missing cells list" file
 
@@ -160,9 +147,9 @@ let cell_to_baseline_json (c : cell) =
     ]
 
 let baseline_cells file section j =
-  match Option.bind (member "sections" j) (member section) with
+  match Option.bind (Json.member "sections" j) (Json.member section) with
   | Some sec -> (
-      match member "cells" sec with
+      match Json.member "cells" sec with
       | Some (Json.List cells) -> List.map (cell_of_json file) cells
       | _ -> failf "%s: section %s has no cells" file section)
   | None -> failf "%s: no baseline for section %s (re-baseline?)" file section
@@ -193,7 +180,7 @@ let history_runs path =
         match Json.of_string line with
         | Error _ -> None
         | Ok j -> (
-            match (member "schema" j, member "sections" j) with
+            match (Json.member "schema" j, Json.member "sections" j) with
             | Some (Json.String s), Some (Json.Obj fields) when s = history_schema
               ->
                 Some
@@ -283,7 +270,7 @@ let run baseline_path write_path history_path tolerance wall_tolerance specs =
         | None -> failf "one of --baseline or --write-baseline is required"
       in
       let bj = read_json baseline_path in
-      (match member "schema" bj with
+      (match Json.member "schema" bj with
       | Some (Json.String s) when s = baseline_schema -> ()
       | Some (Json.String s) -> failf "%s: unknown schema %S" baseline_path s
       | _ -> failf "%s: missing schema" baseline_path);

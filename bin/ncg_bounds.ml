@@ -7,31 +7,26 @@
 
 open Cmdliner
 
-let default_alphas = [ 0.5; 1.0; 2.0; 5.0; 10.0; 100.0; 1000.0 ]
-let default_ks = [ 1; 2; 3; 5; 10; 30; 100 ]
-
 let run n game alphas ks =
-  let alphas = if alphas = [] then default_alphas else alphas in
-  let ks = if ks = [] then default_ks else ks in
   match game with
-  | "max" -> print_string (Ncg.Bounds.max_table ~n ~alphas ~ks)
-  | "sum" -> print_string (Ncg.Bounds.sum_table ~n ~alphas ~ks)
-  | "both" ->
+  | `Max -> print_string (Ncg.Bounds.max_table ~n ~alphas ~ks)
+  | `Sum -> print_string (Ncg.Bounds.sum_table ~n ~alphas ~ks)
+  | `Both ->
       print_string (Ncg.Bounds.max_table ~n ~alphas ~ks);
       print_newline ();
       print_string (Ncg.Bounds.sum_table ~n ~alphas ~ks)
-  | other -> failwith (Printf.sprintf "unknown game %S (max, sum or both)" other)
 
-let n = Arg.(value & opt int 100_000 & info [ "n" ] ~docv:"N" ~doc:"Number of players.")
-let game = Arg.(value & opt string "both" & info [ "game" ] ~docv:"G" ~doc:"max, sum or both.")
-
-let alphas =
-  Arg.(value & opt (list float) [] & info [ "alphas" ] ~docv:"LIST" ~doc:"Comma-separated alpha values.")
-
-let ks = Arg.(value & opt (list int) [] & info [ "ks" ] ~docv:"LIST" ~doc:"Comma-separated k values.")
+let game =
+  Arg.(value
+       & opt (enum [ ("max", `Max); ("sum", `Sum); ("both", `Both) ]) `Both
+       & info [ "game" ] ~docv:"G" ~doc:"max, sum or both.")
 
 let cmd =
   let doc = "print the theoretical PoA bound tables (Figures 3 and 4)" in
-  Cmd.v (Cmd.info "ncg_bounds" ~doc) Term.(const run $ n $ game $ alphas $ ks)
+  Cmd.v (Cmd.info "ncg_bounds" ~doc)
+    Term.(
+      const run $ Cli_terms.n 100_000 $ game
+      $ Cli_terms.alphas [ 0.5; 1.0; 2.0; 5.0; 10.0; 100.0; 1000.0 ]
+      $ Cli_terms.ks [ 1; 2; 3; 5; 10; 30; 100 ])
 
 let () = exit (Cmd.eval cmd)

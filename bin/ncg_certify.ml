@@ -61,8 +61,6 @@ let certify_torus_max k alpha delta =
     ~theory:(Some ("Theorem 3.12 LB", Ncg.Bounds.lb_torus ~n ~alpha ~k))
 
 let certify_torus_sum k alpha delta =
-  if k > 2 then
-    failwith "torus-sum: only k = 2 is certifiable exactly (larger views explode)";
   let t = Ncg_gen.Torus_grid.closed ~d:2 ~ell:2 ~deltas:[| 2; max delta 2 |] in
   let n = Graph.order t.Ncg_gen.Torus_grid.graph in
   let s = Ncg.Strategy.of_buys ~n t.Ncg_gen.Torus_grid.buys in
@@ -71,27 +69,31 @@ let certify_torus_sum k alpha delta =
     ~quality:(Ncg.Game.quality Ncg.Game.Sum ~alpha s)
     ~theory:(Some ("Omega(n/k)", float_of_int n /. float_of_int k))
 
-let n_arg = Arg.(value & opt int 24 & info [ "n" ] ~doc:"Players (cycle).")
-let k_arg = Arg.(value & opt int 2 & info [ "k" ] ~doc:"View radius.")
-let alpha_arg = Arg.(value & opt float 2.0 & info [ "alpha"; "a" ] ~doc:"Edge price.")
 let q_arg = Arg.(value & opt int 3 & info [ "q" ] ~doc:"Prime order of the plane.")
 let delta_arg = Arg.(value & opt int 6 & info [ "delta" ] ~doc:"Long torus dimension.")
 
 let cycle_cmd =
   Cmd.v (Cmd.info "cycle" ~doc:"certify the Lemma 3.1 cycle")
-    Term.(const certify_cycle $ n_arg $ k_arg $ alpha_arg)
+    Term.(const certify_cycle $ Cli_terms.n 24 $ Cli_terms.k 2 $ Cli_terms.alpha)
 
 let pg_cmd =
   Cmd.v (Cmd.info "pg" ~doc:"certify the PG(2,q) incidence graph (Lemma 3.2)")
-    Term.(const certify_pg $ q_arg $ alpha_arg)
+    Term.(const certify_pg $ q_arg $ Cli_terms.alpha)
 
 let torus_max_cmd =
   Cmd.v (Cmd.info "torus-max" ~doc:"certify the Theorem 3.12 torus (MaxNCG)")
-    Term.(const certify_torus_max $ k_arg $ alpha_arg $ delta_arg)
+    Term.(const certify_torus_max $ Cli_terms.k 2 $ Cli_terms.alpha $ delta_arg)
 
 let torus_sum_cmd =
   Cmd.v (Cmd.info "torus-sum" ~doc:"certify the Theorem 4.2 torus (SumNCG)")
-    Term.(const certify_torus_sum $ k_arg $ alpha_arg $ delta_arg)
+    Term.(
+      ret
+        (const (fun k alpha delta ->
+             if k > 2 then
+               `Error
+                 (true, "only k = 2 is certifiable exactly (larger views explode)")
+             else `Ok (certify_torus_sum k alpha delta))
+        $ Cli_terms.k 2 $ Cli_terms.alpha $ delta_arg))
 
 let cmd =
   Cmd.group

@@ -59,9 +59,6 @@ module Store = Ncg_store.Store
 module Metrics = Ncg_obs.Metrics
 module Json = Ncg_obs.Json
 
-let default_alphas = [ 0.5; 1.0; 2.0; 5.0 ]
-let default_ks = [ 2; 3; 4; 5; 1000 ]
-
 let header = Experiment.csv_header
 
 let cell_json graph_class n p trials (r : Experiment.cell_result) =
@@ -164,23 +161,15 @@ let install_signal_handlers () =
       with Invalid_argument _ | Sys_error _ -> ())
     [ Sys.sigint; Sys.sigterm ]
 
-let run graph_class n p alphas ks trials seed budget domains store_dir resume
-    no_cache only_cell telemetry trace_out events quiet no_probes
-    fault_plan_spec fault_seed max_retries retry_backoff_ms cell_deadline_ms
-    move_budget by_cell_seeds =
+let run fault_plan spec domains store_dir resume no_cache only_cell telemetry
+    trace_out events quiet max_retries retry_backoff_ms cell_deadline_ms
+    by_cell_seeds =
   if quiet then Ncg_obs.Events.set_progress false;
-  let probes = not no_probes in
-  let fault_plan =
-    match fault_plan_spec with
-    | None -> None
-    | Some spec -> (
-        match Ncg_fault.Inject.parse_plan ~seed:fault_seed spec with
-        | Ok plan ->
-            Ncg_fault.Inject.install plan;
-            Some plan
-        | Error msg ->
-            Printf.eprintf "ncg_experiment: --fault-plan: %s\n%!" msg;
-            exit 2)
+  (* One spec record drives everything downstream — the same compiler
+     the sweep service uses, so a served cell and a one-shot cell are
+     built from identical constructors. *)
+  let { Ncg.Sweep_spec.graph_class; n; p; alphas; ks; trials; seed; probes; _ } =
+    spec
   in
   let retry_backoff_ns = Int64.of_float (retry_backoff_ms *. 1e6) in
   let cell_deadline_ns =
@@ -188,30 +177,6 @@ let run graph_class n p alphas ks trials seed budget domains store_dir resume
     else Some (Int64.of_float (cell_deadline_ms *. 1e6))
   in
   install_signal_handlers ();
-  let alphas = if alphas = [] then default_alphas else alphas in
-  let ks = if ks = [] then default_ks else ks in
-  (* One spec record drives everything downstream — the same compiler
-     the sweep service uses, so a served cell and a one-shot cell are
-     built from identical constructors. *)
-  let spec =
-    {
-      Ncg.Sweep_spec.graph_class;
-      n;
-      p;
-      alphas;
-      ks;
-      trials;
-      seed;
-      budget;
-      move_budget;
-      probes;
-    }
-  in
-  (match Ncg.Sweep_spec.validate spec with
-  | Ok () -> ()
-  | Error msg ->
-      Printf.eprintf "ncg_experiment: %s\n%!" msg;
-      exit 2);
   let make_initial = Ncg.Sweep_spec.make_initial spec in
   let make_config = Ncg.Sweep_spec.make_config spec in
   let cells = Ncg.Sweep_spec.cells spec in
@@ -437,23 +402,6 @@ let run graph_class n p alphas ks trials seed budget domains store_dir resume
         exit 3
       end
 
-let graph_class =
-  Arg.(value & opt string "tree" & info [ "class" ] ~docv:"CLASS"
-         ~doc:"tree, gnp, ba (Barabasi-Albert) or ws (Watts-Strogatz).")
-
-let n = Arg.(value & opt int 50 & info [ "n" ] ~docv:"N" ~doc:"Players.")
-let p = Arg.(value & opt float 0.1 & info [ "p" ] ~docv:"P" ~doc:"Edge probability (gnp).")
-
-let alphas =
-  Arg.(value & opt (list float) [] & info [ "alphas" ] ~docv:"LIST" ~doc:"Alpha grid.")
-
-let ks = Arg.(value & opt (list int) [] & info [ "ks" ] ~docv:"LIST" ~doc:"View radius grid.")
-let trials = Arg.(value & opt int 5 & info [ "trials" ] ~docv:"T" ~doc:"Seeds per cell.")
-let seed = Arg.(value & opt int 2014 & info [ "seed" ] ~doc:"Base seed.")
-
-let budget =
-  Arg.(value & opt int 50_000 & info [ "budget" ] ~doc:"Branch-and-bound node budget per best response.")
-
 let domains =
   Arg.(value & opt int 1 & info [ "domains" ] ~docv:"D"
          ~doc:"Domains to fan sweep cells over; output is identical for any value.")
@@ -498,22 +446,6 @@ let quiet =
   Arg.(value & flag & info [ "quiet" ]
          ~doc:"Suppress the live progress line on stderr.")
 
-let no_probes =
-  Arg.(value & flag & info [ "no-probes" ]
-         ~doc:"Skip the round-level convergence probes of each cell's \
-               exemplar trial. The CSV is byte-identical either way; only \
-               the telemetry/store payloads shrink.")
-
-let fault_plan_spec =
-  Arg.(value & opt (some string) None & info [ "fault-plan" ] ~docv:"SPEC"
-         ~doc:"Deterministic fault-injection plan, e.g. \
-               'sweep.cell=raise@p:0.3,record_log.append=short:8@nth:2' \
-               (see docs/ROBUSTNESS.md).")
-
-let fault_seed =
-  Arg.(value & opt int 0 & info [ "fault-seed" ] ~docv:"N"
-         ~doc:"Seed of the fault plan's probability draws.")
-
 let max_retries =
   Arg.(value & opt int 0 & info [ "max-retries" ] ~docv:"N"
          ~doc:"Extra attempts per failing cell before quarantine.")
@@ -525,12 +457,6 @@ let retry_backoff_ms =
 let cell_deadline_ms =
   Arg.(value & opt float 0. & info [ "cell-deadline-ms" ] ~docv:"MS"
          ~doc:"Wall-clock deadline per cell attempt (0 = none).")
-
-let move_budget =
-  Arg.(value & opt int 1_000_000 & info [ "move-budget" ] ~docv:"N"
-         ~doc:"Cooperative checkpoint polls allowed per player move \
-               (0 = unlimited); an exhausted budget fails the move's \
-               cell with a timeout.")
 
 let by_cell_seeds =
   Arg.(value & flag & info [ "by-cell-seeds" ]
@@ -544,10 +470,9 @@ let cmd =
   let doc = "grid experiments over (alpha, k) printing CSV series" in
   Cmd.v
     (Cmd.info "ncg_experiment" ~doc)
-    Term.(const run $ graph_class $ n $ p $ alphas $ ks $ trials $ seed $ budget
-          $ domains $ store_dir $ resume $ no_cache $ only_cell $ telemetry
-          $ trace_out $ events $ quiet $ no_probes
-          $ fault_plan_spec $ fault_seed $ max_retries $ retry_backoff_ms
-          $ cell_deadline_ms $ move_budget $ by_cell_seeds)
+    Term.(const run $ Cli_terms.fault_plan $ Cli_terms.spec $ domains
+          $ store_dir $ resume $ no_cache $ only_cell $ telemetry $ trace_out
+          $ events $ quiet $ max_retries $ retry_backoff_ms $ cell_deadline_ms
+          $ by_cell_seeds)
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval ~term_err:2 cmd)

@@ -20,29 +20,19 @@ let pretty_ns ns =
 
 let latency_report path out =
   let module Json = Ncg_obs.Json in
-  let contents =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
   let doc =
-    match Json.of_string contents with
+    match Json.of_file path with
     | Ok j -> j
     | Error e -> failwith (Printf.sprintf "%s: %s" path e)
   in
-  let member name = function
-    | Json.Obj fields -> List.assoc_opt name fields
-    | _ -> None
-  in
   let num name j =
-    match member name j with
+    match Json.member name j with
     | Some (Json.Int i) -> float_of_int i
     | Some (Json.Float f) -> f
     | _ -> nan
   in
   let hists =
-    match member "histograms_total" doc with
+    match Json.member "histograms_total" doc with
     | Some (Json.Obj fields) -> fields
     | _ ->
         failwith
@@ -73,24 +63,12 @@ let latency_report path out =
       Ncg_obs.Atomic_file.write path report;
       Printf.printf "wrote %s (%d bytes)\n" path (String.length report)
 
-let run graph_class n p alpha k seed variant telemetry out =
+let run ({ Cli_terms.graph_class; n; seed; _ } as world) alpha k variant
+    telemetry out =
   match telemetry with
   | Some path -> latency_report path out
   | None ->
-  let strategy =
-    match graph_class with
-    | "tree" -> Ncg.Experiment.initial_tree ~seed ~n
-    | "gnp" -> Ncg.Experiment.initial_gnp ~seed ~n ~p
-    | "ba" -> Ncg.Experiment.initial_ba ~seed ~n ~m:2
-    | "ws" -> Ncg.Experiment.initial_ws ~seed ~n ~k:4 ~beta:0.2
-    | other -> failwith (Printf.sprintf "unknown graph class %S" other)
-  in
-  let variant =
-    match variant with
-    | "max" -> Ncg.Game.Max
-    | "sum" -> Ncg.Game.Sum
-    | v -> failwith ("unknown variant " ^ v)
-  in
+  let strategy = Cli_terms.initial world in
   let config =
     {
       (Ncg.Dynamics.default_config ~alpha ~k) with
@@ -112,17 +90,6 @@ let run graph_class n p alpha k seed variant telemetry out =
       Ncg_obs.Atomic_file.write path report;
       Printf.printf "wrote %s (%d bytes)\n" path (String.length report)
 
-let graph_class =
-  Arg.(value & opt string "tree" & info [ "class" ] ~docv:"CLASS"
-         ~doc:"tree, gnp, ba or ws.")
-
-let n = Arg.(value & opt int 40 & info [ "n" ] ~doc:"Players.")
-let p = Arg.(value & opt float 0.1 & info [ "p" ] ~doc:"Edge probability (gnp).")
-let alpha = Arg.(value & opt float 2.0 & info [ "alpha"; "a" ] ~doc:"Edge price.")
-let k = Arg.(value & opt int 3 & info [ "k" ] ~doc:"View radius.")
-let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.")
-let variant = Arg.(value & opt string "max" & info [ "variant" ] ~doc:"max or sum.")
-
 let telemetry =
   Arg.(value & opt (some string) None & info [ "telemetry" ] ~docv:"FILE"
          ~doc:"Summarize this sweep telemetry JSON (latency table from its \
@@ -136,7 +103,7 @@ let cmd =
   let doc = "write a markdown report of one dynamics run" in
   Cmd.v (Cmd.info "ncg_report" ~doc)
     Term.(
-      const run $ graph_class $ n $ p $ alpha $ k $ seed $ variant $ telemetry
-      $ out)
+      const run $ Cli_terms.world ~n:40 $ Cli_terms.alpha $ Cli_terms.k 3
+      $ Cli_terms.variant $ telemetry $ out)
 
 let () = exit (Cmd.eval cmd)

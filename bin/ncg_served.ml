@@ -4,30 +4,17 @@
    Daemon mode owns the content-addressed store and the durable work
    queue; clients (ncg_submit) submit sweep specs over newline-delimited
    JSON, workers lease cells, and every structured event is streamed to
-   subscribers (ncg_top --events unix:PATH). See docs/SERVICE.md. *)
+   subscribers (ncg_top --events unix:PATH). See docs/SERVICE.md.
+
+   --listen/--connect and --fault-plan/--fault-seed are the shared
+   Cli_terms definitions (ncg_submit's --connect, ncg_experiment's fault
+   plan); a bad address or plan exits 2. *)
 
 open Cmdliner
 module Json = Ncg_obs.Json
 module Protocol = Ncg_service.Protocol
 module Scheduler = Ncg_service.Scheduler
 module Server = Ncg_service.Server
-
-let install_fault_plan spec seed =
-  match spec with
-  | None -> ()
-  | Some spec -> (
-      match Ncg_fault.Inject.parse_plan ~seed spec with
-      | Ok plan -> Ncg_fault.Inject.install plan
-      | Error msg ->
-          Printf.eprintf "ncg_served: --fault-plan: %s\n%!" msg;
-          exit 2)
-
-let parse_addr_or_die s =
-  match Protocol.parse_addr s with
-  | Ok addr -> addr
-  | Error msg ->
-      Printf.eprintf "ncg_served: %s\n%!" msg;
-      exit 2
 
 (* --- Worker mode --------------------------------------------------------- *)
 
@@ -52,9 +39,7 @@ let heartbeat_loop addr name heartbeat_ms stop =
   | exception Unix.Unix_error _ -> ()
   | ic, oc ->
       let rpc req =
-        try
-          Protocol.send_line oc (Protocol.request_to_json req);
-          Protocol.recv_line ic
+        try Protocol.call ic oc req
         with Sys_error _ | Unix.Unix_error _ -> Error "connection lost"
       in
       (* Plain hello, not a worker hello: this connection holds no
@@ -67,25 +52,23 @@ let heartbeat_loop addr name heartbeat_ms stop =
           if Atomic.get stop then ()
           else
             match rpc (Protocol.Ping { worker = name }) with
-            | Ok (Some j) ->
-                (match Protocol.response_of_json j with
-                | Ok (Protocol.Resp_ok fields) ->
-                    (match List.assoc_opt "revoked" fields with
-                    | Some (Json.List ids) -> (
-                        let ids =
-                          List.filter_map
-                            (function Json.Int i -> Some i | _ -> None)
-                            ids
-                        in
-                        match Atomic.get current_task with
-                        | Some (task_id, flag) when List.mem task_id ids ->
-                            Atomic.set flag true
-                        | _ -> ())
+            | Ok (Some (Protocol.Resp_ok fields)) ->
+                (match List.assoc_opt "revoked" fields with
+                | Some (Json.List ids) -> (
+                    let ids =
+                      List.filter_map
+                        (function Json.Int i -> Some i | _ -> None)
+                        ids
+                    in
+                    match Atomic.get current_task with
+                    | Some (task_id, flag) when List.mem task_id ids ->
+                        Atomic.set flag true
                     | _ -> ())
-                | Ok (Protocol.Resp_error _) | Error _ ->
-                    (* dropped beat (e.g. injected heartbeat fault):
-                       keep pinging, the daemon's monitor decides *)
-                    ());
+                | _ -> ());
+                loop ()
+            | Ok (Some (Protocol.Resp_error _)) ->
+                (* dropped beat (e.g. injected heartbeat fault): keep
+                   pinging, the daemon's monitor decides *)
                 loop ()
             | Ok None | Error _ -> () (* daemon gone: main loop sees EOF too *)
         end
@@ -93,9 +76,7 @@ let heartbeat_loop addr name heartbeat_ms stop =
       loop ();
       (try close_out oc with Sys_error _ -> ())
 
-let worker_main connect name poll_ms heartbeat_ms fault_plan fault_seed =
-  install_fault_plan fault_plan fault_seed;
-  let addr = parse_addr_or_die connect in
+let worker_main addr name poll_ms heartbeat_ms =
   let ic, oc =
     try Protocol.connect addr
     with Unix.Unix_error (e, _, _) ->
@@ -105,15 +86,8 @@ let worker_main connect name poll_ms heartbeat_ms fault_plan fault_seed =
       exit 1
   in
   let rpc req =
-    Protocol.send_line oc (Protocol.request_to_json req);
-    match Protocol.recv_line ic with
-    | Ok (Some j) -> (
-        match Protocol.response_of_json j with
-        | Ok r -> Some r
-        | Error msg ->
-            Printf.eprintf "ncg_served: bad response: %s\n%!" msg;
-            None)
-    | Ok None -> None
+    match Protocol.call ic oc req with
+    | Ok reply -> reply
     | Error msg ->
         Printf.eprintf "ncg_served: %s\n%!" msg;
         None
@@ -204,12 +178,10 @@ let worker_main connect name poll_ms heartbeat_ms fault_plan fault_seed =
 
 (* --- Daemon mode --------------------------------------------------------- *)
 
-let daemon_main listen_spec store_dir workers poll_ms events fault_plan
-    fault_seed max_retries max_cells deadline_ms tick_ms drain quiet
-    heartbeat_timeout_ms quarantine_failures quarantine_cooldown_ms =
+let daemon_main addr store_dir workers poll_ms events max_retries max_cells
+    deadline_ms tick_ms drain quiet heartbeat_timeout_ms quarantine_failures
+    quarantine_cooldown_ms =
   if quiet then Ncg_obs.Events.set_progress false;
-  install_fault_plan fault_plan fault_seed;
-  let addr = parse_addr_or_die listen_spec in
   let scheduler =
     try
       Scheduler.create
@@ -262,22 +234,21 @@ let daemon_main listen_spec store_dir workers poll_ms events fault_plan
 
 (* --- CLI ----------------------------------------------------------------- *)
 
-let run worker connect name listen store workers poll_ms events fault_plan
-    fault_seed max_retries max_cells deadline_ms tick_ms drain quiet
-    heartbeat_ms heartbeat_timeout_ms quarantine_failures
+let run worker connect name listen store workers poll_ms events
+    (_installed : Ncg_fault.Inject.plan option) max_retries max_cells deadline_ms
+    tick_ms drain quiet heartbeat_ms heartbeat_timeout_ms quarantine_failures
     quarantine_cooldown_ms =
   if worker then begin
     match connect with
-    | Some connect ->
-        worker_main connect name poll_ms heartbeat_ms fault_plan fault_seed
+    | Some addr -> worker_main addr name poll_ms heartbeat_ms
     | None ->
         Printf.eprintf "ncg_served: --worker requires --connect ADDR\n%!";
         exit 2
   end
   else
-    daemon_main listen store workers poll_ms events fault_plan fault_seed
-      max_retries max_cells deadline_ms tick_ms drain quiet
-      heartbeat_timeout_ms quarantine_failures quarantine_cooldown_ms
+    daemon_main listen store workers poll_ms events max_retries max_cells
+      deadline_ms tick_ms drain quiet heartbeat_timeout_ms quarantine_failures
+      quarantine_cooldown_ms
 
 let worker_flag =
   Arg.(value & flag & info [ "worker" ]
@@ -285,16 +256,13 @@ let worker_flag =
                (requires $(b,--connect)).")
 
 let connect =
-  Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"ADDR"
-         ~doc:"Daemon address for --worker mode (unix:PATH or tcp:HOST:PORT).")
+  Cli_terms.address_opt "connect" ~doc:"Daemon address for --worker mode."
 
 let worker_name =
   Arg.(value & opt string (Printf.sprintf "worker-%d" (Unix.getpid ()))
        & info [ "name" ] ~docv:"NAME" ~doc:"Worker name (default worker-PID).")
 
-let listen =
-  Arg.(value & opt string "unix:ncg.sock" & info [ "listen" ] ~docv:"ADDR"
-         ~doc:"Address to serve (unix:PATH or tcp:HOST:PORT).")
+let listen = Cli_terms.address "listen" ~doc:"Address to serve."
 
 let store =
   Arg.(value & opt string "ncg-store" & info [ "store" ] ~docv:"DIR"
@@ -312,14 +280,6 @@ let events =
   Arg.(value & opt (some string) None & info [ "events" ] ~docv:"FILE"
          ~doc:"Append every structured event line to this file (the \
                stream subscribers see).")
-
-let fault_plan =
-  Arg.(value & opt (some string) None & info [ "fault-plan" ] ~docv:"SPEC"
-         ~doc:"Install a deterministic fault plan (see ncg_experiment).")
-
-let fault_seed =
-  Arg.(value & opt int 0 & info [ "fault-seed" ] ~docv:"N"
-         ~doc:"Seed for probabilistic fault triggers.")
 
 let max_retries =
   Arg.(value & opt int 2 & info [ "max-retries" ] ~docv:"N"
@@ -370,8 +330,8 @@ let cmd =
   Cmd.v
     (Cmd.info "ncg_served" ~doc)
     Term.(const run $ worker_flag $ connect $ worker_name $ listen $ store $ workers
-          $ poll_ms $ events $ fault_plan $ fault_seed $ max_retries
+          $ poll_ms $ events $ Cli_terms.fault_plan $ max_retries
           $ max_cells $ deadline_ms $ tick_ms $ drain $ quiet $ heartbeat_ms
           $ heartbeat_timeout_ms $ quarantine_failures $ quarantine_cooldown_ms)
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval ~term_err:2 cmd)

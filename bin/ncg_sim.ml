@@ -7,26 +7,24 @@
 
 open Cmdliner
 
-let run graph_class n p alpha k seed variant solver max_rounds quiet =
-  let strategy =
-    match graph_class with
-    | "tree" -> Ncg.Experiment.initial_tree ~seed ~n
-    | "gnp" -> Ncg.Experiment.initial_gnp ~seed ~n ~p
-    | "cycle" -> Ncg.Strategy.of_buys ~n (Ncg_gen.Classic.cycle_buys n)
-    | "star" -> Ncg.Strategy.of_buys ~n (Ncg_gen.Classic.star_buys n)
-    | other -> failwith (Printf.sprintf "unknown graph class %S" other)
+let solver =
+  let parse s =
+    match (s, int_of_string_opt s) with
+    | "exact", _ -> Ok `Exact
+    | "greedy", _ -> Ok `Greedy
+    | _, Some budget -> Ok (`Budgeted budget)
+    | _ -> Error "solver must be exact, greedy, or a node budget"
   in
-  let variant = match variant with "max" -> Ncg.Game.Max | "sum" -> Ncg.Game.Sum | v -> failwith ("unknown variant " ^ v) in
-  let solver =
-    match solver with
-    | "exact" -> `Exact
-    | "greedy" -> `Greedy
-    | s -> begin
-        match int_of_string_opt s with
-        | Some budget -> `Budgeted budget
-        | None -> failwith "solver must be exact, greedy, or a node budget"
-      end
+  let print ppf = function
+    | `Exact -> Format.pp_print_string ppf "exact"
+    | `Greedy -> Format.pp_print_string ppf "greedy"
+    | `Budgeted b -> Format.pp_print_int ppf b
   in
+  Arg.(value & opt (conv' (parse, print)) `Exact & info [ "solver" ] ~docv:"S"
+         ~doc:"Best-response solver: exact, greedy, or an integer node budget.")
+
+let run world alpha k variant solver max_rounds quiet =
+  let strategy = Cli_terms.initial world in
   let config =
     {
       (Ncg.Dynamics.default_config ~alpha ~k) with
@@ -59,21 +57,6 @@ let run graph_class n p alpha k seed variant solver max_rounds quiet =
   in
   Printf.printf "# certified stable: %b\n" lke
 
-let graph_class =
-  Arg.(value & opt string "tree" & info [ "class" ] ~docv:"CLASS"
-         ~doc:"Initial graph class: tree, gnp, cycle or star.")
-
-let n = Arg.(value & opt int 50 & info [ "n" ] ~docv:"N" ~doc:"Number of players.")
-let p = Arg.(value & opt float 0.1 & info [ "p" ] ~docv:"P" ~doc:"Edge probability for gnp.")
-let alpha = Arg.(value & opt float 2.0 & info [ "alpha"; "a" ] ~docv:"ALPHA" ~doc:"Edge price.")
-let k = Arg.(value & opt int 3 & info [ "k" ] ~docv:"K" ~doc:"View radius (1000 = full knowledge).")
-let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
-let variant = Arg.(value & opt string "max" & info [ "variant" ] ~docv:"V" ~doc:"Game variant: max or sum.")
-
-let solver =
-  Arg.(value & opt string "exact" & info [ "solver" ] ~docv:"S"
-         ~doc:"Best-response solver: exact, greedy, or an integer node budget.")
-
 let max_rounds = Arg.(value & opt int 200 & info [ "max-rounds" ] ~doc:"Round cap.")
 let quiet = Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress the per-round CSV.")
 
@@ -81,6 +64,8 @@ let cmd =
   let doc = "simulate locality-based network creation dynamics" in
   Cmd.v
     (Cmd.info "ncg_sim" ~doc)
-    Term.(const run $ graph_class $ n $ p $ alpha $ k $ seed $ variant $ solver $ max_rounds $ quiet)
+    Term.(
+      const run $ Cli_terms.world ~n:50 $ Cli_terms.alpha $ Cli_terms.k 3
+      $ Cli_terms.variant $ solver $ max_rounds $ quiet)
 
 let () = exit (Cmd.eval cmd)

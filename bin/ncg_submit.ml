@@ -1,13 +1,15 @@
 (* ncg_submit: sweep client for ncg_served.
 
-   Builds a Sweep_spec from the same flags ncg_experiment takes, submits
-   it over the wire, polls until the job completes, and prints the CSV —
-   byte-identical rows to `ncg_experiment --by-cell-seeds` over the same
-   grid, whatever mix of cache hits, dedup and worker crashes produced
-   them. Exit codes: 0 clean, 1 connection/protocol trouble, 2 usage,
-   3 completed with quarantined cells, 4 timed out (--timeout-ms, the
-   job is cancelled daemon-side), 130 interrupted (Ctrl-C sends cancel
-   for the unfinished cells before closing the socket). *)
+   Builds a Sweep_spec from the sweep flags it shares with ncg_experiment
+   (one definition, Cli_terms.spec), submits it over the wire, polls
+   until the job completes, and prints the CSV — byte-identical rows to
+   `ncg_experiment --by-cell-seeds` over the same grid, whatever mix of
+   cache hits, dedup and worker crashes produced them. Exit codes: 0
+   clean, 1 connection/protocol trouble, 2 usage (a bad spec or address
+   is reported before connecting), 3 completed with quarantined cells,
+   4 timed out (--timeout-ms, the job is cancelled daemon-side), 130
+   interrupted (Ctrl-C sends cancel for the unfinished cells before
+   closing the socket). *)
 
 open Cmdliner
 module Json = Ncg_obs.Json
@@ -17,24 +19,15 @@ let die fmt = Printf.ksprintf (fun msg ->
     Printf.eprintf "ncg_submit: %s\n%!" msg;
     exit 1) fmt
 
-let connect_or_die spec =
-  match Protocol.parse_addr spec with
-  | Error msg ->
-      Printf.eprintf "ncg_submit: %s\n%!" msg;
-      exit 2
-  | Ok addr -> (
-      try Protocol.connect addr
-      with Unix.Unix_error (e, _, _) ->
-        die "cannot connect to %s: %s" (Protocol.addr_to_string addr)
-          (Unix.error_message e))
+let connect_or_die addr =
+  try Protocol.connect addr
+  with Unix.Unix_error (e, _, _) ->
+    die "cannot connect to %s: %s" (Protocol.addr_to_string addr)
+      (Unix.error_message e)
 
 let rpc ic oc req =
-  Protocol.send_line oc (Protocol.request_to_json req);
-  match Protocol.recv_line ic with
-  | Ok (Some j) -> (
-      match Protocol.response_of_json j with
-      | Ok r -> r
-      | Error msg -> die "bad response: %s" msg)
+  match Protocol.call ic oc req with
+  | Ok (Some r) -> r
   | Ok None -> die "daemon hung up"
   | Error msg -> die "%s" msg
 
@@ -61,32 +54,16 @@ let subscribe_main ic oc =
   stream ();
   exit 0
 
-(* --- status mode --------------------------------------------------------- *)
+(* --- status / stats / cancel: print one reply and exit ----------------- *)
 
-let status_main ic oc job =
-  match rpc ic oc (Protocol.Status { job }) with
+let reply_main ic oc req render =
+  match rpc ic oc req with
   | Protocol.Resp_error msg -> die "%s" msg
   | Protocol.Resp_ok fields ->
-      print_endline (Json.to_string (Json.Obj fields));
+      print_string (render (Json.Obj fields));
       exit 0
 
-(* --- stats mode ---------------------------------------------------------- *)
-
-let stats_main ic oc =
-  match rpc ic oc Protocol.Stats with
-  | Protocol.Resp_error msg -> die "%s" msg
-  | Protocol.Resp_ok fields ->
-      print_string (Json.to_string_pretty (Json.Obj fields));
-      exit 0
-
-(* --- cancel mode --------------------------------------------------------- *)
-
-let cancel_main ic oc job =
-  match rpc ic oc (Protocol.Cancel { job }) with
-  | Protocol.Resp_error msg -> die "%s" msg
-  | Protocol.Resp_ok fields ->
-      print_endline (Json.to_string (Json.Obj fields));
-      exit 0
+let one_line j = Json.to_string j ^ "\n"
 
 (* --- submit mode --------------------------------------------------------- *)
 
@@ -96,11 +73,6 @@ let cancel_main ic oc job =
 let interrupted = Atomic.make false
 
 let submit_main ic oc spec deadline_ms timeout_ms poll_ms quiet =
-  (match Ncg.Sweep_spec.validate spec with
-  | Ok () -> ()
-  | Error msg ->
-      Printf.eprintf "ncg_submit: %s\n%!" msg;
-      exit 2);
   let job, total =
     match rpc ic oc (Protocol.Submit { spec; deadline_ms }) with
     | Protocol.Resp_error msg -> die "submit rejected: %s" msg
@@ -195,9 +167,8 @@ let submit_main ic oc spec deadline_ms timeout_ms poll_ms quiet =
 
 (* --- CLI ----------------------------------------------------------------- *)
 
-let run connect graph_class n p alphas ks trials seed budget move_budget
-    no_probes deadline_ms timeout_ms poll_ms status_job cancel_job subscribe
-    stats quiet =
+let run connect spec deadline_ms timeout_ms poll_ms status_job cancel_job
+    subscribe stats quiet =
   if quiet then Ncg_obs.Events.set_progress false;
   let ic, oc = connect_or_die connect in
   let hello =
@@ -211,70 +182,14 @@ let run connect graph_class n p alphas ks trials seed budget move_budget
   | Protocol.Resp_ok _ -> ()
   | Protocol.Resp_error msg -> die "hello rejected: %s" msg);
   if subscribe then subscribe_main ic oc
-  else if stats then stats_main ic oc
+  else if stats then reply_main ic oc Protocol.Stats Json.to_string_pretty
   else
     match (status_job, cancel_job) with
-    | Some job, _ -> status_main ic oc job
-    | None, Some job -> cancel_main ic oc job
-    | None, None ->
-        let spec =
-          {
-            Ncg.Sweep_spec.graph_class;
-            n;
-            p;
-            alphas =
-              (if alphas = [] then Ncg.Sweep_spec.default.Ncg.Sweep_spec.alphas
-               else alphas);
-            ks =
-              (if ks = [] then Ncg.Sweep_spec.default.Ncg.Sweep_spec.ks
-               else ks);
-            trials;
-            seed;
-            budget;
-            move_budget;
-            probes = not no_probes;
-          }
-        in
-        submit_main ic oc spec deadline_ms timeout_ms poll_ms quiet
+    | Some job, _ -> reply_main ic oc (Protocol.Status { job }) one_line
+    | None, Some job -> reply_main ic oc (Protocol.Cancel { job }) one_line
+    | None, None -> submit_main ic oc spec deadline_ms timeout_ms poll_ms quiet
 
-let connect =
-  Arg.(value & opt string "unix:ncg.sock" & info [ "connect" ] ~docv:"ADDR"
-         ~doc:"Daemon address (unix:PATH or tcp:HOST:PORT).")
-
-let graph_class =
-  Arg.(value & opt string "tree" & info [ "class" ] ~docv:"CLASS"
-         ~doc:"Initial graph class: tree, gnp, ba or ws.")
-
-let n = Arg.(value & opt int 50 & info [ "n" ] ~docv:"N" ~doc:"Players.")
-
-let p =
-  Arg.(value & opt float 0.1 & info [ "p" ] ~docv:"P"
-         ~doc:"Edge probability (gnp).")
-
-let alphas =
-  Arg.(value & opt (list float) [] & info [ "alphas" ] ~docv:"LIST"
-         ~doc:"Alpha grid.")
-
-let ks =
-  Arg.(value & opt (list int) [] & info [ "ks" ] ~docv:"LIST"
-         ~doc:"View radius grid.")
-
-let trials =
-  Arg.(value & opt int 5 & info [ "trials" ] ~docv:"T" ~doc:"Seeds per cell.")
-
-let seed = Arg.(value & opt int 2014 & info [ "seed" ] ~doc:"Base seed.")
-
-let budget =
-  Arg.(value & opt int 50_000 & info [ "budget" ]
-         ~doc:"Branch-and-bound node budget per best response.")
-
-let move_budget =
-  Arg.(value & opt int 1_000_000 & info [ "move-budget" ] ~docv:"N"
-         ~doc:"Cooperative checkpoint polls allowed per player move.")
-
-let no_probes =
-  Arg.(value & flag & info [ "no-probes" ]
-         ~doc:"Skip round-level probe collection (changes cache keys).")
+let connect = Cli_terms.address "connect" ~doc:"Daemon address."
 
 let deadline_ms =
   Arg.(value & opt (some int) None & info [ "deadline-ms" ] ~docv:"MS"
@@ -314,8 +229,7 @@ let cmd =
   let doc = "submit sweeps to a running ncg_served daemon" in
   Cmd.v
     (Cmd.info "ncg_submit" ~doc)
-    Term.(const run $ connect $ graph_class $ n $ p $ alphas $ ks $ trials
-          $ seed $ budget $ move_budget $ no_probes $ deadline_ms $ timeout_ms
+    Term.(const run $ connect $ Cli_terms.spec $ deadline_ms $ timeout_ms
           $ poll_ms $ status_job $ cancel_job $ subscribe $ stats $ quiet)
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval ~term_err:2 cmd)

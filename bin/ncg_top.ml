@@ -34,10 +34,6 @@ module Json = Ncg_obs.Json
 module Markdown = Ncg_reporting.Markdown
 module Timeseries = Ncg_obs.Timeseries
 
-let member name = function
-  | Json.Obj fields -> List.assoc_opt name fields
-  | _ -> None
-
 let num_opt = function
   | Some (Json.Int i) -> Some (float_of_int i)
   | Some (Json.Float f) -> Some f
@@ -100,7 +96,7 @@ let alert st line =
   st.alerts <- (line :: st.alerts) |> List.filteri (fun i _ -> i < 6)
 
 let key_of_event j =
-  match (num_opt (member "alpha" j), int_opt (member "k" j)) with
+  match (num_opt (Json.member "alpha" j), int_opt (Json.member "k" j)) with
   | Some alpha, Some k -> Some (alpha, k)
   | _ -> None
 
@@ -111,23 +107,25 @@ let process_line st line =
     | Error _ -> st.skipped <- st.skipped + 1
     | Ok j -> (
         st.events <- st.events + 1;
-        match str_opt (member "event" j) with
+        match str_opt (Json.member "event" j) with
         | Some "sweep.cell" -> (
-            (match int_opt (member "total" j) with
+            (match int_opt (Json.member "total" j) with
             | Some t -> st.total <- max st.total t
             | None -> ());
-            (match int_opt (member "done" j) with
+            (match int_opt (Json.member "done" j) with
             | Some d -> st.finished <- max st.finished d
             | None -> ());
             match key_of_event j with
             | None -> ()
             | Some key ->
                 let cached =
-                  match member "cached" j with Some (Json.Bool b) -> b | _ -> false
+                  match Json.member "cached" j with
+                  | Some (Json.Bool b) -> b
+                  | _ -> false
                 in
                 Hashtbl.replace st.cells key (if cached then Cached else Done))
         | Some "sweep.cell.quarantined" -> (
-            (match int_opt (member "done" j) with
+            (match int_opt (Json.member "done" j) with
             | Some d -> st.finished <- max st.finished d
             | None -> ());
             match key_of_event j with
@@ -137,10 +135,11 @@ let process_line st line =
                 alert st
                   (Printf.sprintf "QUARANTINED alpha=%g k=%d after %s attempt(s): %s"
                      alpha k
-                     (match int_opt (member "attempts" j) with
+                     (match int_opt (Json.member "attempts" j) with
                      | Some a -> string_of_int a
                      | None -> "?")
-                     (Option.value (str_opt (member "error" j)) ~default:"?")))
+                     (Option.value ~default:"?"
+                        (str_opt (Json.member "error" j)))))
         | Some "sweep.cell.attempt_failed" -> (
             match key_of_event j with
             | None -> ()
@@ -149,11 +148,12 @@ let process_line st line =
                 Hashtbl.replace st.retries key (prev + 1);
                 alert st
                   (Printf.sprintf "retry alpha=%g k=%d attempt %s (%s)%s" alpha k
-                     (match int_opt (member "attempt" j) with
+                     (match int_opt (Json.member "attempt" j) with
                      | Some a -> string_of_int a
                      | None -> "?")
-                     (Option.value (str_opt (member "error" j)) ~default:"?")
-                     (match member "will_retry" j with
+                     (Option.value ~default:"?"
+                        (str_opt (Json.member "error" j)))
+                     (match Json.member "will_retry" j with
                      | Some (Json.Bool false) -> " — giving up"
                      | _ -> "")))
         (* The ncg_served daemon speaks its own event vocabulary; map it
@@ -162,19 +162,19 @@ let process_line st line =
            running sum of distinct queued work (cached cells resolve
            instantly and are marked directly). *)
         | Some "service.submit" ->
-            (match int_opt (member "total" j) with
+            (match int_opt (Json.member "total" j) with
             | Some t -> st.total <- st.total + t
             | None -> ());
-            (match int_opt (member "cached" j) with
+            (match int_opt (Json.member "cached" j) with
             | Some c -> st.finished <- st.finished + c
             | None -> ())
         | Some "service.lease" ->
-            (match str_opt (member "worker" j) with
+            (match str_opt (Json.member "worker" j) with
             | Some name -> (wstat_of st name).wleases <- (wstat_of st name).wleases + 1
             | None -> ())
         | Some "service.complete" -> (
             st.finished <- st.finished + 1;
-            (match str_opt (member "worker" j) with
+            (match str_opt (Json.member "worker" j) with
             | Some name -> (wstat_of st name).wdone <- (wstat_of st name).wdone + 1
             | None -> ());
             match key_of_event j with
@@ -188,7 +188,8 @@ let process_line st line =
                 Hashtbl.replace st.retries key (prev + 1);
                 alert st
                   (Printf.sprintf "requeue alpha=%g k=%d (%s)" alpha k
-                     (Option.value (str_opt (member "reason" j)) ~default:"?")))
+                     (Option.value ~default:"?"
+                        (str_opt (Json.member "reason" j)))))
         | Some "service.quarantine" -> (
             st.finished <- st.finished + 1;
             match key_of_event j with
@@ -197,18 +198,19 @@ let process_line st line =
                 Hashtbl.replace st.cells key Quarantined;
                 alert st
                   (Printf.sprintf "QUARANTINED alpha=%g k=%d: %s" alpha k
-                     (Option.value (str_opt (member "error" j)) ~default:"?")))
+                     (Option.value ~default:"?"
+                        (str_opt (Json.member "error" j)))))
         | Some "service.job_expired" ->
             alert st
               (Printf.sprintf "job %s EXPIRED before completing"
-                 (match int_opt (member "job" j) with
+                 (match int_opt (Json.member "job" j) with
                  | Some id -> string_of_int id
                  | None -> "?"))
         | Some
             (( "service.worker_registered" | "service.worker_suspect"
              | "service.worker_quarantined" | "service.worker_readmitted"
              | "service.worker_recovered" | "service.worker_lost" ) as ev) -> (
-            match str_opt (member "worker" j) with
+            match str_opt (Json.member "worker" j) with
             | None -> ()
             | Some name ->
                 let w = wstat_of st name in
@@ -228,35 +230,35 @@ let process_line st line =
                     alert st (Printf.sprintf "worker %s readmitted on probation" name)
                 | _ -> ())
         | Some "service.lease_expired" -> (
-            match str_opt (member "worker" j) with
+            match str_opt (Json.member "worker" j) with
             | None -> ()
             | Some name ->
                 let w = wstat_of st name in
                 w.wexpired <- w.wexpired + 1;
                 alert st
                   (Printf.sprintf "lease %s EXPIRED on silent worker %s"
-                     (match int_opt (member "task" j) with
+                     (match int_opt (Json.member "task" j) with
                      | Some id -> string_of_int id
                      | None -> "?")
                      name))
         | Some "service.cancel" ->
             alert st
               (Printf.sprintf "job %s cancelled (released %s, revoked %s)"
-                 (match int_opt (member "job" j) with
+                 (match int_opt (Json.member "job" j) with
                  | Some id -> string_of_int id
                  | None -> "?")
-                 (match int_opt (member "released" j) with
+                 (match int_opt (Json.member "released" j) with
                  | Some n -> string_of_int n
                  | None -> "?")
-                 (match int_opt (member "revoked" j) with
+                 (match int_opt (Json.member "revoked" j) with
                  | Some n -> string_of_int n
                  | None -> "?"))
         | Some "dynamics.round" -> (
             match
               ( key_of_event j,
-                int_opt (member "round" j),
-                num_opt (member "social_cost" j),
-                int_opt (member "awake" j) )
+                int_opt (Json.member "round" j),
+                num_opt (Json.member "social_cost" j),
+                int_opt (Json.member "awake" j) )
             with
             | Some key, Some round, Some sc, Some awake ->
                 let cell =
@@ -506,24 +508,15 @@ let live_stream ic once interval =
 let subscribe_to_daemon addr =
   let module Protocol = Ncg_service.Protocol in
   let ic, oc = Protocol.connect addr in
-  let rpc req =
-    Protocol.send_line oc (Protocol.request_to_json req);
-    match Protocol.recv_line ic with
-    | Ok (Some j) -> Protocol.response_of_json j
+  let call req =
+    match Protocol.call ic oc req with
+    | Ok (Some (Protocol.Resp_ok _)) -> Ok ()
+    | Ok (Some (Protocol.Resp_error msg)) | Error msg -> Error msg
     | Ok None -> Error "daemon hung up"
-    | Error msg -> Error msg
   in
-  let check = function
-    | Ok (Protocol.Resp_ok _) -> Ok ()
-    | Ok (Protocol.Resp_error msg) -> Error msg
-    | Error msg -> Error msg
-  in
-  match check (rpc (Protocol.Hello { client = Printf.sprintf "ncg_top-%d" (Unix.getpid ()); worker = false })) with
-  | Error msg -> Error msg
-  | Ok () -> (
-      match check (rpc Protocol.Subscribe) with
-      | Error msg -> Error msg
-      | Ok () -> Ok ic)
+  let client = Printf.sprintf "ncg_top-%d" (Unix.getpid ()) in
+  Result.bind (call (Protocol.Hello { client; worker = false })) (fun () ->
+      Result.map (fun () -> ic) (call Protocol.Subscribe))
 
 let live path once interval =
   let looks_like_addr =
@@ -576,45 +569,37 @@ type ph_cell = {
 }
 
 let read_doc path =
-  let contents =
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with Sys_error e -> failf "%s: %s" path e
-  in
-  match Json.of_string contents with
-  | Ok j -> j
-  | Error e -> failf "%s: %s" path e
+  match Json.of_file path with Ok j -> j | Error e -> failf "%s: %s" path e
 
 (* Any document with a "cells" list is accepted — the experiment
    telemetry and both bench outputs share the per-cell shape this report
    needs. *)
 let load_cells path =
   let j = read_doc path in
-  let schema = Option.value (str_opt (member "schema" j)) ~default:"(no schema)" in
+  let schema =
+    Option.value (str_opt (Json.member "schema" j)) ~default:"(no schema)"
+  in
   let cells =
-    match member "cells" j with
+    match Json.member "cells" j with
     | Some (Json.List cells) -> cells
     | _ -> failf "%s: no \"cells\" list (schema %s)" path schema
   in
   let parse i c =
     let ctx = Printf.sprintf "%s: cells[%d]" path i in
     let req name =
-      match num_opt (member name c) with
+      match num_opt (Json.member name c) with
       | Some v -> v
       | None -> failf "%s: missing %s" ctx name
     in
     {
       ph_alpha = req "alpha";
       ph_k = int_of_float (req "k");
-      ph_wall = num_opt (member "wall_seconds" c);
-      ph_rounds = num_opt (member "rounds_mean" c);
-      ph_quality = num_opt (member "quality_mean" c);
-      ph_converged = num_opt (member "converged_frac" c);
+      ph_wall = num_opt (Json.member "wall_seconds" c);
+      ph_rounds = num_opt (Json.member "rounds_mean" c);
+      ph_quality = num_opt (Json.member "quality_mean" c);
+      ph_converged = num_opt (Json.member "converged_frac" c);
       ph_probes =
-        (match member "probes" c with
+        (match Json.member "probes" c with
         | None -> []
         | Some pj -> (
             match Ncg_obs.Probe.of_json pj with

@@ -13,23 +13,13 @@ open Cmdliner
 
 let write_file = Ncg_obs.Atomic_file.write
 
-let read_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let initial_path prefix = prefix ^ ".initial"
 let trace_path prefix = prefix ^ ".trace"
 
-let record graph_class n p alpha k seed prefix =
-  let strategy =
-    match graph_class with
-    | "tree" -> Ncg.Experiment.initial_tree ~seed ~n
-    | "gnp" -> Ncg.Experiment.initial_gnp ~seed ~n ~p
-    | other -> failwith (Printf.sprintf "unknown graph class %S" other)
-  in
+let record world alpha k prefix =
+  let strategy = Cli_terms.initial world in
   let config =
     { (Ncg.Dynamics.default_config ~alpha ~k) with Ncg.Dynamics.solver = `Budgeted 50_000 }
   in
@@ -56,26 +46,19 @@ let verify prefix alpha k =
   | None -> print_endline "replayed profile disconnected?!");
   if not lke then exit 2
 
-let graph_class =
-  Arg.(value & opt string "tree" & info [ "class" ] ~docv:"CLASS" ~doc:"tree or gnp.")
-
-let n = Arg.(value & opt int 30 & info [ "n" ] ~doc:"Players.")
-let p = Arg.(value & opt float 0.1 & info [ "p" ] ~doc:"Edge probability (gnp).")
-let alpha = Arg.(value & opt float 2.0 & info [ "alpha"; "a" ] ~doc:"Edge price.")
-let k = Arg.(value & opt int 3 & info [ "k" ] ~doc:"View radius.")
-let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.")
-
 let prefix =
   Arg.(required & opt (some string) None & info [ "prefix" ] ~docv:"PATH"
          ~doc:"File prefix for the .initial and .trace files.")
 
 let record_cmd =
   Cmd.v (Cmd.info "record" ~doc:"run a dynamics and save initial profile + trace")
-    Term.(const record $ graph_class $ n $ p $ alpha $ k $ seed $ prefix)
+    Term.(
+      const record $ Cli_terms.world ~n:30 $ Cli_terms.alpha $ Cli_terms.k 3
+      $ prefix)
 
 let verify_cmd =
   Cmd.v (Cmd.info "verify" ~doc:"replay a saved trace and certify the result")
-    Term.(const verify $ prefix $ alpha $ k)
+    Term.(const verify $ prefix $ Cli_terms.alpha $ Cli_terms.k 3)
 
 let cmd =
   Cmd.group (Cmd.info "ncg_trace" ~doc:"record and audit dynamics traces")

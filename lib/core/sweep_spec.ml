@@ -140,11 +140,9 @@ let to_json spec =
 let of_json j =
   let ( let* ) = Result.bind in
   let member name =
-    match j with
-    | Json.Obj fields -> (
-        match List.assoc_opt name fields with
-        | Some v -> Ok v
-        | None -> Error (Printf.sprintf "spec: missing field %S" name))
+    match (j, Json.member name j) with
+    | _, Some v -> Ok v
+    | Json.Obj _, None -> Error (Printf.sprintf "spec: missing field %S" name)
     | _ -> Error "spec: not an object"
   in
   let as_int name = function
@@ -156,6 +154,26 @@ let of_json j =
     | Json.Int i -> Ok (float_of_int i)
     | _ -> Error (Printf.sprintf "spec: %S must be a number" name)
   in
+  let as_string name = function
+    | Json.String c -> Ok c
+    | _ -> Error (Printf.sprintf "spec: %S must be a string" name)
+  in
+  let as_bool name = function
+    | Json.Bool b -> Ok b
+    | _ -> Error (Printf.sprintf "spec: %S must be a boolean" name)
+  in
+  let as_list as_elt name = function
+    | Json.List xs ->
+        List.fold_left
+          (fun acc x ->
+            let* acc = acc in
+            let* v = as_elt name x in
+            Ok (v :: acc))
+          (Ok []) xs
+        |> Result.map List.rev
+    | _ -> Error (Printf.sprintf "spec: %S must be a list" name)
+  in
+  let field decode name = Result.bind (member name) (decode name) in
   let* s = member "schema" in
   let* () =
     match s with
@@ -163,63 +181,18 @@ let of_json j =
     | Json.String v -> Error (Printf.sprintf "spec: unsupported schema %S" v)
     | _ -> Error "spec: schema must be a string"
   in
-  let* graph_class =
-    let* v = member "class" in
-    match v with
-    | Json.String c -> Ok c
-    | _ -> Error "spec: \"class\" must be a string"
-  in
-  let* n = Result.bind (member "n") (as_int "n") in
-  let* p = Result.bind (member "p") (as_float "p") in
-  let* alphas =
-    let* v = member "alphas" in
-    match v with
-    | Json.List xs ->
-        List.fold_left
-          (fun acc x ->
-            let* acc = acc in
-            let* f = as_float "alphas" x in
-            Ok (f :: acc))
-          (Ok []) xs
-        |> Result.map List.rev
-    | _ -> Error "spec: \"alphas\" must be a list"
-  in
-  let* ks =
-    let* v = member "ks" in
-    match v with
-    | Json.List xs ->
-        List.fold_left
-          (fun acc x ->
-            let* acc = acc in
-            let* k = as_int "ks" x in
-            Ok (k :: acc))
-          (Ok []) xs
-        |> Result.map List.rev
-    | _ -> Error "spec: \"ks\" must be a list"
-  in
-  let* trials = Result.bind (member "trials") (as_int "trials") in
-  let* seed = Result.bind (member "seed") (as_int "seed") in
-  let* budget = Result.bind (member "budget") (as_int "budget") in
-  let* move_budget = Result.bind (member "move_budget") (as_int "move_budget") in
-  let* probes =
-    let* v = member "probes" in
-    match v with
-    | Json.Bool b -> Ok b
-    | _ -> Error "spec: \"probes\" must be a boolean"
-  in
+  let* graph_class = field as_string "class" in
+  let* n = field as_int "n" in
+  let* p = field as_float "p" in
+  let* alphas = field (as_list as_float) "alphas" in
+  let* ks = field (as_list as_int) "ks" in
+  let* trials = field as_int "trials" in
+  let* seed = field as_int "seed" in
+  let* budget = field as_int "budget" in
+  let* move_budget = field as_int "move_budget" in
+  let* probes = field as_bool "probes" in
   let spec =
-    {
-      graph_class;
-      n;
-      p;
-      alphas;
-      ks;
-      trials;
-      seed;
-      budget;
-      move_budget;
-      probes;
-    }
+    { graph_class; n; p; alphas; ks; trials; seed; budget; move_budget; probes }
   in
   let* () = validate spec in
   Ok spec

@@ -1,10 +1,10 @@
 (** Sweep submissions as data: one record naming everything that
     determines a sweep's results.
 
-    [ncg_experiment] builds its sweep inline from CLI flags; the sweep
-    service receives the same parameters over a socket. This module is
-    the single compiler from that record to the {!Experiment} calls, so
-    both paths construct {e the same} initial graphs, dynamics configs,
+    [ncg_experiment] and [ncg_submit] read it from one shared set of CLI
+    flags ([Cli_terms.spec] in [bin/]); the sweep service receives it
+    over a socket. This module is the single compiler from that record
+    to the {!Experiment} calls, so both paths construct {e the same} initial graphs, dynamics configs,
     store contexts and cache keys — the served-vs-one-shot byte-identity
     contract is then structural, not a matter of keeping two
     definitions in sync.

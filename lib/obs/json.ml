@@ -308,3 +308,12 @@ let of_string s =
       (* Belt and braces: of_string promises to never raise, whatever
          bytes arrive (the qcheck fuzz tests hold it to that). *)
       Error (Printf.sprintf "unexpected parser failure: %s" (Printexc.to_string e))
+
+let member name = function
+  | Obj fields -> List.assoc_opt name fields
+  | _ -> None
+
+let of_file path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | contents -> of_string contents
+  | exception Sys_error msg -> Error msg

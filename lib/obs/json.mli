@@ -35,3 +35,11 @@ val to_file : string -> t -> unit
     [Error msg] carries the failure offset. Never raises, whatever the
     input bytes (fuzz-tested on arbitrary and truncated strings). *)
 val of_string : string -> (t, string) result
+
+(** [member name j] is field [name] of object [j]; [None] when [j] is
+    not an object or lacks the field. *)
+val member : string -> t -> t option
+
+(** [of_file path] reads and parses a whole file; [Error] carries the
+    I/O or parse message. *)
+val of_file : string -> (t, string) result

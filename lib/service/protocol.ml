@@ -85,24 +85,20 @@ let request_to_json r =
   in
   Json.Obj (("schema", Json.String request_schema) :: fields)
 
-let member name = function
-  | Json.Obj fields -> List.assoc_opt name fields
-  | _ -> None
-
 let str_field name j =
-  match member name j with
+  match Json.member name j with
   | Some (Json.String s) -> Ok s
   | _ -> Error (Printf.sprintf "request: missing string field %S" name)
 
 let int_field name j =
-  match member name j with
+  match Json.member name j with
   | Some (Json.Int i) -> Ok i
   | _ -> Error (Printf.sprintf "request: missing integer field %S" name)
 
 let request_of_json j =
   let ( let* ) = Result.bind in
   let* () =
-    match member "schema" j with
+    match Json.member "schema" j with
     | Some (Json.String s)
       when String.equal s request_schema || String.equal s request_schema_v1 ->
         (* v1 requests are a strict subset: same encodings, fewer
@@ -117,18 +113,18 @@ let request_of_json j =
   | "hello" ->
       let* client = str_field "client" j in
       let worker =
-        match member "worker" j with Some (Json.Bool b) -> b | _ -> false
+        match Json.member "worker" j with Some (Json.Bool b) -> b | _ -> false
       in
       Ok (Hello { client; worker })
   | "submit" ->
       let* spec_json =
-        match member "spec" j with
+        match Json.member "spec" j with
         | Some s -> Ok s
         | None -> Error "request: submit needs \"spec\""
       in
       let* spec = Ncg.Sweep_spec.of_json spec_json in
       let* deadline_ms =
-        match member "deadline_ms" j with
+        match Json.member "deadline_ms" j with
         | None -> Ok None
         | Some (Json.Int ms) when ms > 0 -> Ok (Some ms)
         | Some _ -> Error "request: \"deadline_ms\" must be a positive integer"
@@ -147,7 +143,7 @@ let request_of_json j =
       let* worker = str_field "worker" j in
       let* task = int_field "task" j in
       let* result =
-        match member "result" j with
+        match Json.member "result" j with
         | Some r -> Ok r
         | None -> Error "request: complete needs \"result\""
       in
@@ -185,7 +181,7 @@ let response_to_json = function
         ]
 
 let response_of_json j =
-  match (member "schema" j, member "ok" j) with
+  match (Json.member "schema" j, Json.member "ok" j) with
   | Some (Json.String s), _ when not (String.equal s response_schema) ->
       Error (Printf.sprintf "response: unsupported schema %S" s)
   | Some (Json.String _), Some (Json.Bool true) -> (
@@ -199,7 +195,7 @@ let response_of_json j =
                   fields))
       | _ -> Error "response: not an object")
   | Some (Json.String _), Some (Json.Bool false) -> (
-      match member "error" j with
+      match Json.member "error" j with
       | Some (Json.String msg) -> Ok (Resp_error msg)
       | _ -> Error "response: missing \"error\"")
   | _ -> Error "response: missing schema or \"ok\""
@@ -214,17 +210,17 @@ let cell_fields spec (cell : Ncg.Experiment.cell) =
 let cell_of_json j =
   let ( let* ) = Result.bind in
   let* spec =
-    match member "spec" j with
+    match Json.member "spec" j with
     | Some s -> Ncg.Sweep_spec.of_json s
     | None -> Error "task: missing \"spec\""
   in
   let* alpha =
-    match member "alpha" j with
+    match Json.member "alpha" j with
     | Some (Json.Float a) -> Ok a
     | Some (Json.Int a) -> Ok (float_of_int a)
     | _ -> Error "task: missing number field \"alpha\""
   in
-  match member "k" j with
+  match Json.member "k" j with
   | Some (Json.Int k) -> Ok (spec, { Ncg.Experiment.alpha; k })
   | _ -> Error "task: missing integer field \"k\""
 
@@ -243,7 +239,7 @@ let task_to_json t =
 let task_of_json j =
   let ( let* ) = Result.bind in
   let* spec, cell = cell_of_json j in
-  match (member "id" j, member "attempts" j) with
+  match (Json.member "id" j, Json.member "attempts" j) with
   | Some (Json.Int id), Some (Json.Int attempts) ->
       Ok { id; spec; cell; attempts }
   | _ -> Error "task: missing integer field \"id\" or \"attempts\""
@@ -260,6 +256,16 @@ let recv_line ic =
       match Json.of_string line with
       | Ok j -> Ok (Some j)
       | Error msg -> Error (Printf.sprintf "bad line: %s" msg))
+
+let call ic oc req =
+  send_line oc (request_to_json req);
+  match recv_line ic with
+  | Ok None -> Ok None
+  | Error msg -> Error msg
+  | Ok (Some j) -> (
+      match response_of_json j with
+      | Ok r -> Ok (Some r)
+      | Error msg -> Error ("bad response: " ^ msg))
 
 let sockaddr_of = function
   | Unix_sock path -> Unix.ADDR_UNIX path

@@ -105,6 +105,11 @@ val send_line : out_channel -> Ncg_obs.Json.t -> unit
 (** [recv_line ic] reads one line and parses it; [Ok None] on EOF. *)
 val recv_line : in_channel -> (Ncg_obs.Json.t option, string) result
 
+(** [call ic oc req] sends [req] and reads one reply: [Ok None] when
+    the peer hung up, [Error] on a malformed line or reply. A broken
+    connection raises [Sys_error] like {!send_line}. *)
+val call : in_channel -> out_channel -> request -> (response option, string) result
+
 (** {1 Connecting} *)
 
 (** [connect addr] opens a client socket and returns buffered channels

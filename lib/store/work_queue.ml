@@ -66,12 +66,12 @@ let replay_record t payload =
   match Json.of_string payload with
   | Error _ -> ()
   | Ok j -> (
-      let member name = match j with Json.Obj f -> List.assoc_opt name f | _ -> None in
-      match (member "op", member "id") with
+      let str name =
+        match Json.member name j with Some (Json.String s) -> s | _ -> ""
+      in
+      match (Json.member "op" j, Json.member "id" j) with
       | Some (Json.String op), Some (Json.Int id) ->
-          let pl = match member "payload" with Some (Json.String s) -> s | _ -> "" in
-          let worker = match member "worker" with Some (Json.String s) -> s | _ -> "" in
-          apply t op id pl worker
+          apply t op id (str "payload") (str "worker")
       | _ -> ())
 
 let recount t =

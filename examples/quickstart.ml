@@ -25,7 +25,7 @@ let () =
   let view = View.extract strategy g ~k 0 in
   Printf.printf "Player 0 sees %d of %d vertices.\n" (View.size view) n;
   Printf.printf "Her current (view-evaluated) cost: %g\n"
-    (Best_response.current_cost ~alpha view);
+    (Ncg.Deviation.current Game.Max ~alpha view).Ncg.Deviation.cost;
 
   (* Exact best response on the view (Proposition 2.1 + the Section 5.3
      dominating-set reduction). *)

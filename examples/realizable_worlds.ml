@@ -9,7 +9,8 @@ module Graph = Ncg_graph.Graph
 module Strategy = Ncg.Strategy
 module View = Ncg.View
 module Realizable = Ncg.Realizable
-module Lke = Ncg.Lke
+module Deviation = Ncg.Deviation
+module Game = Ncg.Game
 module Rng = Ncg_prng.Rng
 
 let () =
@@ -39,7 +40,7 @@ let () =
 
   (* The Max game: dropping the owned edge towards 4 cuts the visible
      frontier vertex 5 off in every world -> infinitely bad. *)
-  let delta_drop = Lke.delta_max ~alpha:1.0 view [] in
+  let delta_drop = Deviation.delta Game.Max ~alpha:1.0 view [] in
   Printf.printf "MaxNCG worst-case delta of dropping all edges: %s\n"
     (if delta_drop = infinity then "infinite (frontier cut in every world)"
      else Printf.sprintf "%g" delta_drop);
@@ -48,7 +49,7 @@ let () =
   let frontier_target = List.hd (View.frontier view) in
   let deviation = frontier_target :: view.View.owned in
   Printf.printf "MaxNCG worst-case delta of also buying a frontier vertex: %+.1f\n"
-    (Lke.delta_max ~alpha:1.0 view deviation);
+    (Deviation.delta Game.Max ~alpha:1.0 view deviation);
 
   (* The Sum game punishes frontier-touching deviations much harder:
      swapping the owned edge (3,4) for (3,5) pushes the frontier vertex
@@ -57,9 +58,9 @@ let () =
   let five = List.hd (View.of_host view [ 5 ]) in
   let swap = [ five ] in
   Printf.printf "\nSumNCG: is the swap (3,4) -> (3,5) admissible? %b\n"
-    (Ncg.Sum_best_response.admissible view swap);
+    (Deviation.evaluate Game.Sum ~alpha:1.0 view swap <> None);
   Printf.printf "SumNCG worst-case delta of that swap: %s\n"
-    (let d = Lke.delta_sum ~alpha:1.0 view swap in
+    (let d = Deviation.delta Game.Sum ~alpha:1.0 view swap in
      if d = infinity then "infinite" else Printf.sprintf "%+.1f" d);
   let anchor = frontier_target in
   List.iter

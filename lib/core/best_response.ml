@@ -2,13 +2,11 @@ module Graph = Ncg_graph.Graph
 module Subgraph = Ncg_graph.Subgraph
 module Dominating_set = Ncg_solver.Dominating_set
 
-type outcome = { targets : int list; usage : int; cost : float }
-
-let current_usage (v : View.t) = Ncg_util.Arrayx.max_elt v.View.dist
-
-let current_cost ~alpha (v : View.t) =
-  (alpha *. float_of_int (List.length v.View.owned))
-  +. float_of_int (current_usage v)
+type outcome = Deviation.outcome = {
+  targets : int list;
+  usage : int;
+  cost : float;
+}
 
 let compute ?ws ?(solver = `Exact) ?max_edges ?allowed ~alpha (v : View.t) =
   Ncg_obs.Histogram.(time best_response) @@ fun () ->
@@ -25,13 +23,7 @@ let compute ?ws ?(solver = `Exact) ?max_edges ?allowed ~alpha (v : View.t) =
     when not (List.for_all (fun t -> List.mem t whitelist) v.View.owned) ->
       invalid_arg "Best_response.compute: current strategy outside allowed targets"
   | _ -> ());
-  let current =
-    {
-      targets = v.View.owned;
-      usage = current_usage v;
-      cost = current_cost ~alpha v;
-    }
-  in
+  let current = Deviation.current Game.Max ~alpha v in
   if nv <= 1 then current
   else begin
     (* H0 = H minus the player; everything below lives in H0 coordinates
@@ -112,58 +104,8 @@ let compute ?ws ?(solver = `Exact) ?max_edges ?allowed ~alpha (v : View.t) =
     !best
   end
 
-let evaluate_targets ~alpha (v : View.t) targets =
-  let h' = View.with_strategy v targets in
-  Option.map
-    (fun ecc ->
-      {
-        targets;
-        usage = ecc;
-        cost = (alpha *. float_of_int (List.length targets)) +. float_of_int ecc;
-      })
-    (Ncg_graph.Bfs.eccentricity h' v.View.player)
-
-let local_search ~alpha (v : View.t) =
-  let nv = Graph.order v.View.graph in
-  let all = List.filter (fun x -> x <> v.View.player) (List.init nv Fun.id) in
-  let current =
-    {
-      targets = v.View.owned;
-      usage = current_usage v;
-      cost = current_cost ~alpha v;
-    }
-  in
-  let rec descend best =
-    Ncg_fault.Cancel.checkpoint ();
-    let adds =
-      List.filter_map
-        (fun t -> if List.mem t best.targets then None else Some (t :: best.targets))
-        all
-    in
-    let drops = List.map (fun t -> List.filter (( <> ) t) best.targets) best.targets in
-    let swaps =
-      List.concat_map
-        (fun out ->
-          let without = List.filter (( <> ) out) best.targets in
-          List.filter_map
-            (fun inn ->
-              if List.mem inn best.targets then None else Some (inn :: without))
-            all)
-        best.targets
-    in
-    let improved =
-      List.fold_left
-        (fun acc targets ->
-          match evaluate_targets ~alpha v targets with
-          | Some o when o.cost < acc.cost -. 1e-12 -> o
-          | Some _ | None -> acc)
-        best
-        (List.concat [ adds; drops; swaps ])
-    in
-    if improved.cost < best.cost -. 1e-12 then descend improved else best
-  in
-  descend current
-
 let improving ?ws ?solver ?(epsilon = 1e-9) ~alpha v =
   let best = compute ?ws ?solver ~alpha v in
-  if best.cost < current_cost ~alpha v -. epsilon then Some best else None
+  if best.cost < (Deviation.current Game.Max ~alpha v).cost -. epsilon then
+    Some best
+  else None

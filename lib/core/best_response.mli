@@ -15,23 +15,16 @@
     the incumbent (at least greedy quality) is used; [`Greedy] trades
     optimality for speed on very large views. *)
 
-type outcome = {
+type outcome = Deviation.outcome = {
   targets : int list;  (** the new σ′ in view coordinates *)
   usage : int;  (** eccentricity of the player in H′ *)
   cost : float;  (** α·|targets| + usage *)
 }
 
-(** Cost of the player's current strategy evaluated on her view:
-    α·|σ_u| + ecc_H(u). Always finite (the view is a ball, hence
-    connected). *)
-val current_cost : alpha:float -> View.t -> float
-
-(** Eccentricity of the player within her view. *)
-val current_usage : View.t -> int
-
 (** [compute ?ws ?solver ?max_edges ?allowed ~alpha view] is an optimal
-    outcome; its cost is at most [current_cost]. If no strict improvement
-    exists, the current strategy is returned unchanged.
+    outcome; its cost is at most the current strategy's
+    ({!Deviation.current}). If no strict improvement exists, the current
+    strategy is returned unchanged.
 
     [ws] lends reusable scratch buffers (BFS + set-cover pool) to the
     radius loop; results never alias them. Pass one {!Workspace.t} per
@@ -50,13 +43,6 @@ val compute :
   alpha:float ->
   View.t ->
   outcome
-
-(** [local_search ~alpha view] is a *better-response* engine: steepest
-    descent over single-edge additions, deletions and swaps starting from
-    the current strategy. Cheap (no dominating-set solves) and a model of
-    boundedly rational play, but only a local optimum — the dynamics it
-    induces can stop at profiles that are not LKEs. *)
-val local_search : alpha:float -> View.t -> outcome
 
 (** [improving ?ws ?solver ?epsilon ~alpha view] is [Some outcome] iff the
     best response is strictly better than the current strategy by more

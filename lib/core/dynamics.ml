@@ -56,47 +56,31 @@ let move_stats_of (view : View.t) ~targets =
   in
   { edit_distance = List.length added + List.length removed; radius }
 
-(* On an accepted move, also returns the player's view-local cost before
-   and after — already computed by the oracles, and what the structured
-   event log reports per move — plus the move's locality stats. *)
+(* One priced comparison per step, whatever the game and engine: the
+   engine's best deviation is taken when it is cheaper than the current
+   strategy's price on the view by more than epsilon. An accepted move
+   also returns both view-local costs (what the structured event log
+   reports per move) and the move's locality stats. *)
 let best_response_step_stats ?ws config strategy g u =
   let ws = match ws with Some w -> w | None -> Workspace.create () in
   let view = View.extract ~scratch:ws.Workspace.bfs strategy g ~k:config.k u in
-  let improvement =
-    match config.variant with
-    | Game.Max -> begin
-        match config.response with
-        | `Best ->
-            Option.map
-              (fun (o : Best_response.outcome) ->
-                ( o.Best_response.targets,
-                  Best_response.current_cost ~alpha:config.alpha view,
-                  o.Best_response.cost ))
-              (Best_response.improving ~ws ~solver:config.solver
-                 ~epsilon:config.epsilon ~alpha:config.alpha view)
-        | `Local_moves ->
-            let o = Best_response.local_search ~alpha:config.alpha view in
-            let current = Best_response.current_cost ~alpha:config.alpha view in
-            if o.Best_response.cost < current -. config.epsilon then
-              Some (o.Best_response.targets, current, o.Best_response.cost)
-            else None
-      end
-    | Game.Sum ->
-        Option.map
-          (fun (o : Sum_best_response.outcome) ->
-            ( o.Sum_best_response.targets,
-              Sum_best_response.current_cost ~alpha:config.alpha view,
-              o.Sum_best_response.cost ))
-          (Sum_best_response.improving ~epsilon:config.epsilon
-             ~alpha:config.alpha ~mode:config.sum_mode view)
+  let alpha = config.alpha in
+  let current = Deviation.current config.variant ~alpha view in
+  let best =
+    match (config.variant, config.response) with
+    | Game.Max, `Best ->
+        Best_response.compute ~ws ~solver:config.solver ~alpha view
+    | Game.Max, `Local_moves -> Deviation.local_search Game.Max ~alpha view
+    | Game.Sum, _ -> Sum_best_response.compute ~alpha ~mode:config.sum_mode view
   in
-  Option.map
-    (fun (targets, old_cost, new_cost) ->
+  if best.Deviation.cost < current.Deviation.cost -. config.epsilon then
+    let targets = best.Deviation.targets in
+    Some
       ( Strategy.with_owned strategy u (View.to_host view targets),
-        old_cost,
-        new_cost,
-        move_stats_of view ~targets ))
-    improvement
+        current.Deviation.cost,
+        best.Deviation.cost,
+        move_stats_of view ~targets )
+  else None
 
 let best_response_step ?ws config strategy g u =
   Option.map

@@ -30,11 +30,14 @@ type config = {
   collect_features : bool;  (** record {!Features.t} after every round *)
   move_budget : int;
       (** max search steps (cooperative {!Ncg_fault.Cancel.checkpoint}
-          polls: dominating-set radii, local-search descents) a single
-          player move may take before the run fails with
-          [Ncg_fault.Cancel.Timed_out "step budget exhausted"] instead
-          of hanging; [<= 0] = unlimited. Budget hits are counted in
-          the ["dynamics.step_budget_hits"] metric. *)
+          polls: MaxNCG dominating-set radii and set-cover steps, SumNCG
+          branch-and-bound nodes, and {!Deviation.local_search} descent
+          steps under either game) a single player move may take before
+          the run fails with [Ncg_fault.Cancel.Timed_out "step budget
+          exhausted"] instead of hanging; [<= 0] = unlimited. The same
+          polls let a cell deadline cut a move off. The SumNCG
+          [`Exact m] engine does not poll; [m] bounds it. Budget hits
+          are counted in the ["dynamics.step_budget_hits"] metric. *)
 }
 
 (** Sensible defaults: Max variant, exact best responses, round-robin,

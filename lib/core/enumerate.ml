@@ -53,31 +53,15 @@ let is_nash variant ~alpha ~n masks current_costs =
   in
   player 0
 
+(* Every player's exhaustive best response on her view (Prop. 2.1/2.2)
+   is no cheaper than her current strategy. *)
 let is_lke variant ~alpha ~k ~n strategy g =
-  let delta =
-    match variant with
-    | Game.Max -> Lke.delta_max ~alpha
-    | Game.Sum -> Lke.delta_sum ~alpha
-  in
-  let rec player u =
-    u >= n
-    ||
-    let view = View.extract strategy g ~k u in
-    let others =
-      Array.of_list
-        (List.filter (fun x -> x <> view.View.player) (List.init (View.size view) Fun.id))
-    in
-    let m = 1 lsl Array.length others in
-    let rec deviation mask =
-      mask >= m
-      ||
-      let targets = ref [] in
-      Array.iteri (fun i x -> if mask land (1 lsl i) <> 0 then targets := x :: !targets) others;
-      delta view !targets >= -1e-9 && deviation (mask + 1)
-    in
-    deviation 0 && player (u + 1)
-  in
-  player 0
+  List.for_all
+    (fun u ->
+      let view = View.extract strategy g ~k u in
+      (Deviation.exhaustive variant ~alpha view).Deviation.cost
+      >= (Deviation.current variant ~alpha view).Deviation.cost -. 1e-9)
+    (List.init n Fun.id)
 
 let analyze ?(guard = 4) variant ~alpha ~k ~n =
   if n < 2 then invalid_arg "Enumerate.analyze: need n >= 2";

@@ -1,22 +1,3 @@
-module Graph = Ncg_graph.Graph
-module Bfs = Ncg_graph.Bfs
-
-let delta_max ~alpha (v : View.t) targets =
-  let h' = View.with_strategy v targets in
-  match Bfs.eccentricity h' v.View.player with
-  | None -> infinity
-  | Some ecc' ->
-      let ecc = Best_response.current_usage v in
-      let d_edges = List.length targets - List.length v.View.owned in
-      (alpha *. float_of_int d_edges) +. float_of_int (ecc' - ecc)
-
-let delta_sum ~alpha (v : View.t) targets =
-  match Sum_best_response.cost_on_view ~alpha v targets with
-  | None -> infinity
-  | Some cost' ->
-      if not (Sum_best_response.admissible v targets) then infinity
-      else cost' -. Sum_best_response.current_cost ~alpha v
-
 let default_players strategy = List.init (Strategy.n_players strategy) Fun.id
 
 let violations_max ?solver ?epsilon ?players ~alpha ~k strategy =
@@ -33,24 +14,23 @@ let violations_max ?solver ?epsilon ?players ~alpha ~k strategy =
 let is_lke_max ?solver ?epsilon ?players ~alpha ~k strategy =
   violations_max ?solver ?epsilon ?players ~alpha ~k strategy = []
 
-let is_lke_sum_exact ?max_view ?(epsilon = 1e-9) ?players ~alpha ~k strategy =
+(* No player's [engine] finds a deviation cheaper than her current
+   strategy by more than [epsilon]. *)
+let no_cheaper_sum engine ~epsilon ?players ~alpha ~k strategy =
   let g = Strategy.graph strategy in
   let players = match players with Some p -> p | None -> default_players strategy in
   List.for_all
     (fun u ->
       let view = View.extract strategy g ~k u in
-      let best = Sum_best_response.exact ?max_view ~alpha view in
-      best.Sum_best_response.cost
-      >= Sum_best_response.current_cost ~alpha view -. epsilon)
+      (engine ~alpha view).Deviation.cost
+      >= (Deviation.current Game.Sum ~alpha view).Deviation.cost -. epsilon)
     players
 
+let is_lke_sum_exact ?max_view ?(epsilon = 1e-9) ?players ~alpha ~k strategy =
+  no_cheaper_sum
+    (Deviation.exhaustive ?max_view Game.Sum)
+    ~epsilon ?players ~alpha ~k strategy
+
 let is_single_move_stable_sum ?(epsilon = 1e-9) ?players ~alpha ~k strategy =
-  let g = Strategy.graph strategy in
-  let players = match players with Some p -> p | None -> default_players strategy in
-  List.for_all
-    (fun u ->
-      let view = View.extract strategy g ~k u in
-      let best = Sum_best_response.local_search ~alpha view in
-      best.Sum_best_response.cost
-      >= Sum_best_response.current_cost ~alpha view -. epsilon)
-    players
+  no_cheaper_sum (Deviation.local_search Game.Sum) ~epsilon ?players ~alpha ~k
+    strategy

@@ -4,21 +4,8 @@
     strategy σ_u, the worst-case cost difference Δ(σ̄_u, σ_u) over all
     networks realizable given u's view is non-negative (Eq. (3)).
     Propositions 2.1 and 2.2 turn the quantification over infinitely many
-    realizable networks into finite checks on the view, which is what this
-    module implements. *)
-
-(** [delta_max ~alpha view targets] is Δ(σ_u, σ′_u) for MaxNCG: by
-    Proposition 2.1 it equals
-    α(|σ′|−|σ|) + ecc_{H′}(u) − ecc_H(u),
-    with [infinity] when the deviation disconnects the view. *)
-val delta_max : alpha:float -> View.t -> int list -> float
-
-(** [delta_sum ~alpha view targets] is Δ(σ_u, σ′_u) for SumNCG: by
-    Proposition 2.2, [infinity] when the deviation pushes a frontier
-    vertex beyond distance k (unboundedly many invisible vertices could
-    sit behind it) or disconnects the view; otherwise the cost difference
-    on the view. *)
-val delta_sum : alpha:float -> View.t -> int list -> float
+    realizable networks into finite checks on the view: Δ is
+    {!Deviation.delta}, and this module quantifies it over every player. *)
 
 (** [is_lke_max ?solver ?epsilon ~alpha ~k strategy] — no player has a
     deviation with negative Δ. Exact when [solver = `Exact] (default). *)

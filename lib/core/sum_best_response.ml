@@ -1,119 +1,10 @@
-module Graph = Ncg_graph.Graph
 module Bfs = Ncg_graph.Bfs
 
-type outcome = { targets : int list; usage : int; cost : float }
-
-(* Distances from the player in H' for a candidate strategy. *)
-let deviation_distances (v : View.t) targets =
-  let h' = View.with_strategy v targets in
-  Bfs.distances h' v.View.player
-
-let admissible (v : View.t) targets =
-  let dist' = deviation_distances v targets in
-  List.for_all
-    (fun y -> dist'.(y) <> Bfs.unreachable && dist'.(y) <= v.View.k)
-    (View.frontier v)
-
-let usage_of_distances dist =
-  let sum = ref 0 in
-  let ok = ref true in
-  Array.iter
-    (fun d -> if d = Bfs.unreachable then ok := false else sum := !sum + d)
-    dist;
-  if !ok then Some !sum else None
-
-let cost_on_view ~alpha (v : View.t) targets =
-  Option.map
-    (fun use -> (alpha *. float_of_int (List.length targets)) +. float_of_int use)
-    (usage_of_distances (deviation_distances v targets))
-
-let current_usage (v : View.t) = Ncg_util.Arrayx.sum v.View.dist
-
-let current_cost ~alpha (v : View.t) =
-  (alpha *. float_of_int (List.length v.View.owned))
-  +. float_of_int (current_usage v)
-
-let current_outcome ~alpha v =
-  {
-    targets = v.View.owned;
-    usage = current_usage v;
-    cost = current_cost ~alpha v;
-  }
-
-(* Evaluate one candidate: admissibility and cost in a single H' build. *)
-let evaluate ~alpha (v : View.t) targets =
-  let dist' = deviation_distances v targets in
-  let frontier_ok =
-    List.for_all
-      (fun y -> dist'.(y) <> Bfs.unreachable && dist'.(y) <= v.View.k)
-      (View.frontier v)
-  in
-  if not frontier_ok then None
-  else
-    Option.map
-      (fun use ->
-        {
-          targets;
-          usage = use;
-          cost = (alpha *. float_of_int (List.length targets)) +. float_of_int use;
-        })
-      (usage_of_distances dist')
-
-let exact ?(max_view = 16) ~alpha (v : View.t) =
-  let nv = View.size v in
-  let others = List.filter (fun x -> x <> v.View.player) (List.init nv Fun.id) in
-  let m = List.length others in
-  if m > max_view then
-    invalid_arg "Sum_best_response.exact: view too large for enumeration";
-  let others = Array.of_list others in
-  let best = ref (current_outcome ~alpha v) in
-  for mask = 0 to (1 lsl m) - 1 do
-    let targets = ref [] in
-    for i = 0 to m - 1 do
-      if mask land (1 lsl i) <> 0 then targets := others.(i) :: !targets
-    done;
-    match evaluate ~alpha v !targets with
-    | Some o when o.cost < !best.cost -. 1e-12 -> best := o
-    | Some _ | None -> ()
-  done;
-  !best
-
-let local_search ~alpha (v : View.t) =
-  let nv = View.size v in
-  let all = List.filter (fun x -> x <> v.View.player) (List.init nv Fun.id) in
-  let rec descend best =
-    let candidates =
-      (* Single additions, deletions and swaps around [best.targets]. *)
-      let adds =
-        List.filter_map
-          (fun t ->
-            if List.mem t best.targets then None else Some (t :: best.targets))
-          all
-      in
-      let drops = List.map (fun t -> List.filter (( <> ) t) best.targets) best.targets in
-      let swaps =
-        List.concat_map
-          (fun out ->
-            let without = List.filter (( <> ) out) best.targets in
-            List.filter_map
-              (fun inn ->
-                if List.mem inn best.targets then None else Some (inn :: without))
-              all)
-          best.targets
-      in
-      List.concat [ adds; drops; swaps ]
-    in
-    let improved =
-      List.fold_left
-        (fun acc targets ->
-          match evaluate ~alpha v targets with
-          | Some o when o.cost < acc.cost -. 1e-12 -> o
-          | Some _ | None -> acc)
-        best candidates
-    in
-    if improved.cost < best.cost -. 1e-12 then descend improved else best
-  in
-  descend (current_outcome ~alpha v)
+type outcome = Deviation.outcome = {
+  targets : int list;
+  usage : int;
+  cost : float;
+}
 
 let branch_and_bound ?(max_candidates = 34) ~alpha (v : View.t) =
   let nv = View.size v in
@@ -131,7 +22,10 @@ let branch_and_bound ?(max_candidates = 34) ~alpha (v : View.t) =
   in
   let ncand = Array.length candidates in
   (* Incumbent: the better of the current strategy and local search. *)
-  let best = ref (local_search ~alpha v) in
+  let best = ref (Deviation.local_search Game.Sum ~alpha v) in
+  let distances targets =
+    Bfs.distances (View.with_strategy v targets) v.View.player
+  in
   (* Lower bound for completions of [included] with candidates idx..ncand-1
      undecided. Two rigorous ingredients:
      - D_opt: the distance sum when *every* undecided edge exists (more
@@ -149,30 +43,33 @@ let branch_and_bound ?(max_candidates = 34) ~alpha (v : View.t) =
     for j = idx to ncand - 1 do
       optimistic := candidates.(j) :: !optimistic
     done;
-    let dist_all = deviation_distances v !optimistic in
-    match usage_of_distances dist_all with
-    | None -> None
-    | Some d_opt ->
-        let penalty = ref 0.0 in
-        if alpha > 0.0 then
-          for j = idx to ncand - 1 do
-            let c = candidates.(j) in
-            let without_c = List.filter (( <> ) c) !optimistic in
-            let dist_wo = deviation_distances v without_c in
-            let delta_c =
-              if dist_wo.(c) = Ncg_graph.Bfs.unreachable then infinity
-              else float_of_int (dist_wo.(c) - dist_all.(c))
-            in
-            penalty := !penalty +. Float.min alpha delta_c
-          done;
-        Some
-          ((alpha *. float_of_int (List.length included))
-          +. float_of_int d_opt +. !penalty)
+    let dist_all = distances !optimistic in
+    if Array.mem Bfs.unreachable dist_all then None
+    else begin
+      let penalty = ref 0.0 in
+      if alpha > 0.0 then
+        for j = idx to ncand - 1 do
+          let c = candidates.(j) in
+          let dist_wo = distances (List.filter (( <> ) c) !optimistic) in
+          let delta_c =
+            if dist_wo.(c) = Bfs.unreachable then infinity
+            else float_of_int (dist_wo.(c) - dist_all.(c))
+          in
+          penalty := !penalty +. Float.min alpha delta_c
+        done;
+      Some
+        ((alpha *. float_of_int (List.length included))
+        +. float_of_int (Ncg_util.Arrayx.sum dist_all)
+        +. !penalty)
+    end
   in
   let rec go idx included =
+    (* One poll per node, so a move budget or a cell deadline can cut off
+       an oversized search. *)
+    Ncg_fault.Cancel.checkpoint ();
     Ncg_obs.Metrics.(incr sum_bb_nodes);
     if idx = ncand then begin
-      match evaluate ~alpha v included with
+      match Deviation.evaluate Game.Sum ~alpha v included with
       | Some o when o.cost < !best.cost -. 1e-12 -> best := o
       | Some _ | None -> ()
     end
@@ -189,13 +86,16 @@ let branch_and_bound ?(max_candidates = 34) ~alpha (v : View.t) =
   go 0 [];
   !best
 
-let improving ?(epsilon = 1e-9) ~alpha ~mode v =
+let compute ~alpha ~mode v =
   Ncg_obs.Histogram.(time sum_best_response) @@ fun () ->
   Ncg_obs.Metrics.(incr sum_best_response_calls);
-  let best =
-    match mode with
-    | `Exact max_view -> exact ~max_view ~alpha v
-    | `Branch_and_bound max_candidates -> branch_and_bound ~max_candidates ~alpha v
-    | `Local_search -> local_search ~alpha v
-  in
-  if best.cost < current_cost ~alpha v -. epsilon then Some best else None
+  match mode with
+  | `Exact max_view -> Deviation.exhaustive ~max_view Game.Sum ~alpha v
+  | `Branch_and_bound max_candidates -> branch_and_bound ~max_candidates ~alpha v
+  | `Local_search -> Deviation.local_search Game.Sum ~alpha v
+
+let improving ?(epsilon = 1e-9) ~alpha ~mode v =
+  let best = compute ~alpha ~mode v in
+  if best.cost < (Deviation.current Game.Sum ~alpha v).cost -. epsilon then
+    Some best
+  else None

@@ -1,66 +1,55 @@
 (** Best responses for SumNCG under local knowledge.
 
-    Proposition 2.2 splits the deviation space in two: strategies that
-    increase the (modified-view) distance of some vertex at distance
-    exactly k are never improving — arbitrarily many invisible vertices
-    could hang off such a frontier vertex — and for every other strategy
-    the worst-case network is the view itself. Hence a best response
-    minimizes α·|σ′| + Σ_v d_{H′}(u, v) over the {e admissible} strategies
-    only.
+    Every candidate is priced by {!Deviation.evaluate} [Game.Sum]. By
+    Proposition 2.2 a deviation that pushes a frontier vertex (distance
+    exactly k) beyond distance k is never improving — arbitrarily many
+    invisible vertices could hang off that vertex — so it is skipped.
+    A deviation that disconnects some view vertex from the player has
+    infinite cost and is skipped as well. For every other deviation the
+    worst-case network is the view itself, so a best response minimizes
+    α·|σ′| + Σ_v d_{H′}(u, v) over those deviations.
 
     Computing this exactly is NP-hard (the paper proves it for k ≥ 2 and
-    1 < α < 2), and unlike MaxNCG there is no dominating-set shortcut, so
-    we provide an exhaustive solver for small views — used by the tests
-    and by the SumNCG equilibrium certification of the torus construction
-    (Theorem 4.2 uses k = 2, where views are tiny) — plus a steepest-
-    descent local search (add / drop / swap one edge) for larger views. *)
+    1 < α < 2), and unlike MaxNCG there is no dominating-set shortcut.
+    The engines are {!Deviation.exhaustive} for tiny views (the SumNCG
+    certification of the torus construction: Theorem 4.2 uses k = 2,
+    where views are tiny), the branch and bound below for views of up to
+    about 35 vertices, and {!Deviation.local_search} for larger views. *)
 
-type outcome = {
+type outcome = Deviation.outcome = {
   targets : int list;  (** σ′ in view coordinates *)
   usage : int;  (** Σ_v d_{H′}(u,v) *)
   cost : float;
 }
 
-(** [admissible view targets] — does the deviation keep every frontier
-    vertex (distance exactly k) within distance k in H′? (Frontier
-    vertices must not get farther; Proposition 2.2.) Disconnecting any
-    vertex of the view is inadmissible too. *)
-val admissible : View.t -> int list -> bool
-
-(** [cost_on_view ~alpha view targets] = α·|targets| + Σ_v d_{H′}(u,v),
-    or [None] if some view vertex becomes unreachable from the player. *)
-val cost_on_view : alpha:float -> View.t -> int list -> float option
-
-(** Cost of the current strategy on the view. *)
-val current_cost : alpha:float -> View.t -> float
-
-(** [exact ?max_view ~alpha view] enumerates all 2^(size-1) strategies.
-    @raise Invalid_argument if [View.size view - 1 > max_view] (default
-    [16]) — the search would not finish. *)
-val exact : ?max_view:int -> alpha:float -> View.t -> outcome
-
 (** [branch_and_bound ?max_candidates ~alpha view] is an exact best
-    response, like {!exact}, but searched by branch and bound over the
-    candidate targets (ordered farthest-first) instead of plain
-    enumeration: at each node the completion cost is lower-bounded by
-    α·|included so far| + the distance sum when *every* undecided vertex
-    is bought (more edges can only shorten distances), and subtrees above
-    the incumbent — warm-started from {!local_search} — are pruned. This
-    typically handles views of 25–35 vertices where the 2^m enumeration
-    is hopeless.
+    response, like {!Deviation.exhaustive}, but searched by branch and
+    bound over the candidate targets (ordered farthest-first) instead of
+    plain enumeration: at each node the completion cost is lower-bounded
+    by α·|included so far| + the distance sum when *every* undecided
+    vertex is bought (more edges can only shorten distances), and
+    subtrees above the incumbent — warm-started from
+    {!Deviation.local_search} — are pruned. This typically handles views
+    of 25–35 vertices where the 2^m enumeration is hopeless. Polls
+    {!Ncg_fault.Cancel.checkpoint} once per node.
     @raise Invalid_argument when the view has more than [max_candidates]
     (default 34) non-player vertices. *)
 val branch_and_bound : ?max_candidates:int -> alpha:float -> View.t -> outcome
 
-(** Steepest-descent local search from the current strategy; each step
-    applies the best admissible single-edge addition, deletion or swap.
-    Returns a local optimum (not necessarily a best response). *)
-val local_search : alpha:float -> View.t -> outcome
+(** [compute ~alpha ~mode view] runs the chosen engine: [`Exact m] is
+    {!Deviation.exhaustive} with [max_view = m], [`Branch_and_bound m]
+    is {!branch_and_bound} with [max_candidates = m], [`Local_search] is
+    {!Deviation.local_search}. The result is never worse than the
+    current strategy. *)
+val compute :
+  alpha:float ->
+  mode:[ `Exact of int | `Branch_and_bound of int | `Local_search ] ->
+  View.t ->
+  outcome
 
-(** [improving ?epsilon ~alpha ~mode view] — [Some] iff the chosen engine
-    strictly improves on the current strategy. The payload of [`Exact]
-    and [`Branch_and_bound] is the size guard ([max_view] resp.
-    [max_candidates]). *)
+(** [improving ?epsilon ~alpha ~mode view] — [Some] iff {!compute}
+    strictly improves on the current strategy by more than [epsilon]
+    (default 1e-9). *)
 val improving :
   ?epsilon:float ->
   alpha:float ->

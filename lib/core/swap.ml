@@ -1,37 +1,9 @@
-module Graph = Ncg_graph.Graph
-module Bfs = Ncg_graph.Bfs
-
-let swap_deviations (v : View.t) =
-  let nv = Graph.order v.View.graph in
-  let all = List.filter (fun x -> x <> v.View.player) (List.init nv Fun.id) in
-  List.concat_map
-    (fun out ->
-      let kept = List.filter (( <> ) out) v.View.owned in
-      List.filter_map
-        (fun inn -> if List.mem inn v.View.owned then None else Some (inn :: kept))
-        all)
-    v.View.owned
-
-let improving_swap_max (v : View.t) =
-  let current = Best_response.current_usage v in
+(* A swap keeps the edge count, so the building cost cancels: price at
+   alpha = 0, where Prop. 2.2's frontier rule still applies under Sum. *)
+let improving_swap variant (v : View.t) =
   List.find_opt
-    (fun targets ->
-      match Bfs.eccentricity (View.with_strategy v targets) v.View.player with
-      | Some ecc -> ecc < current
-      | None -> false)
-    (swap_deviations v)
-
-let improving_swap_sum (v : View.t) =
-  let current = float_of_int (Ncg_util.Arrayx.sum v.View.dist) in
-  List.find_opt
-    (fun targets ->
-      (* alpha = 0: the building cost cancels in swaps, only distance
-         matters; admissibility (Prop. 2.2) still applies. *)
-      match Sum_best_response.cost_on_view ~alpha:0.0 v targets with
-      | Some cost ->
-          cost < current -. 1e-9 && Sum_best_response.admissible v targets
-      | None -> false)
-    (swap_deviations v)
+    (fun targets -> Deviation.delta variant ~alpha:0.0 v targets < 0.0)
+    (Deviation.swaps v v.View.owned)
 
 let each_player_stable strategy ~k has_improvement =
   let g = Strategy.graph strategy in
@@ -44,8 +16,8 @@ let each_player_stable strategy ~k has_improvement =
   in
   go 0
 
-let is_swap_stable_max ~k strategy = each_player_stable strategy ~k improving_swap_max
-let is_swap_stable_sum ~k strategy = each_player_stable strategy ~k improving_swap_sum
+let is_swap_stable_max ~k strategy = each_player_stable strategy ~k (improving_swap Game.Max)
+let is_swap_stable_sum ~k strategy = each_player_stable strategy ~k (improving_swap Game.Sum)
 
 let max_swap_violations ~k strategy =
   let g = Strategy.graph strategy in
@@ -55,5 +27,5 @@ let max_swap_violations ~k strategy =
       let view = View.extract strategy g ~k u in
       Option.map
         (fun targets -> (u, View.to_host view targets))
-        (improving_swap_max view))
+        (improving_swap Game.Max view))
     (List.init n Fun.id)

@@ -7,12 +7,8 @@
     swap-stable (swaps are a subset of the LKE deviation space), which
     makes swap stability a cheap necessary condition: the dynamics
     engines use full best responses, but a quick swap check filters
-    non-equilibria in O(n · deg · view) before invoking the solver. *)
-
-(** [swap_deviations view] — all strategies obtained from the current one
-    by replacing exactly one owned target with a different view vertex.
-    View coordinates. *)
-val swap_deviations : View.t -> int list list
+    non-equilibria in O(n · deg · view) before invoking the solver. The
+    candidates are {!Deviation.swaps}, priced by {!Deviation.delta}. *)
 
 (** [is_swap_stable_max ~k strategy] — no player can strictly decrease
     her view-eccentricity by a single swap. Necessary for a MaxNCG LKE at

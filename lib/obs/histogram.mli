@@ -31,7 +31,7 @@ val name : histogram -> string
 
 val best_response : histogram  (** around [Best_response.compute] *)
 
-val sum_best_response : histogram  (** around [Sum_best_response.improving] *)
+val sum_best_response : histogram  (** around [Sum_best_response.compute] *)
 
 val set_cover : histogram  (** around [Set_cover.solve] *)
 

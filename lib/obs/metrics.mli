@@ -42,7 +42,7 @@ val best_response_calls : counter  (** [Best_response.compute] invocations *)
 
 val best_response_radii : counter  (** dominating-set radii (h values) tried *)
 
-val sum_best_response_calls : counter  (** [Sum_best_response.improving] calls *)
+val sum_best_response_calls : counter  (** [Sum_best_response.compute] calls *)
 
 val sum_bb_nodes : counter  (** SumNCG branch-and-bound nodes expanded *)
 

@@ -3,6 +3,8 @@
 module Strategy = Ncg.Strategy
 module View = Ncg.View
 module Best_response = Ncg.Best_response
+module Deviation = Ncg.Deviation
+module Game = Ncg.Game
 module Rng = Ncg_prng.Rng
 
 let check_int = Alcotest.(check int)
@@ -11,34 +13,14 @@ let checkf msg = Alcotest.(check (float 1e-9)) msg
 
 let view_of strategy ~k u = View.extract strategy (Strategy.graph strategy) ~k u
 
-(* Reference: brute-force best response on the view (all subsets). *)
-let brute_force_cost ~alpha (v : View.t) =
-  let nv = View.size v in
-  let others = List.filter (fun x -> x <> v.View.player) (List.init nv Fun.id) in
-  let m = List.length others in
-  let others = Array.of_list others in
-  let best = ref infinity in
-  for mask = 0 to (1 lsl m) - 1 do
-    let targets = ref [] in
-    for i = 0 to m - 1 do
-      if mask land (1 lsl i) <> 0 then targets := others.(i) :: !targets
-    done;
-    let h' = View.with_strategy v !targets in
-    match Ncg_graph.Bfs.eccentricity h' v.View.player with
-    | Some ecc ->
-        let c = (alpha *. float_of_int (List.length !targets)) +. float_of_int ecc in
-        if c < !best then best := c
-    | None -> ()
-  done;
-  !best
-
 (* --- Hand-computed cases -------------------------------------------------- *)
 
 let test_current_cost () =
   let s = Strategy.of_buys ~n:5 [ (0, 1); (1, 2); (2, 3); (3, 4) ] in
   let v = view_of s ~k:10 0 in
-  check_int "usage" 4 (Best_response.current_usage v);
-  checkf "cost" 5.0 (Best_response.current_cost ~alpha:1.0 v)
+  let current = Deviation.current Game.Max ~alpha:1.0 v in
+  check_int "usage" 4 current.Deviation.usage;
+  checkf "cost" 5.0 current.Deviation.cost
 
 let test_path_end_player () =
   (* Path 0-1-2-3-4, player 0, alpha 1, full view: best cost is 4
@@ -186,13 +168,13 @@ let test_local_search_drop () =
   (* Triangle with expensive edges: local search finds the drop. *)
   let s = Strategy.of_buys ~n:3 [ (0, 1); (1, 2); (2, 0) ] in
   let v = view_of s ~k:1 0 in
-  let o = Best_response.local_search ~alpha:5.0 v in
+  let o = Deviation.local_search Game.Max ~alpha:5.0 v in
   checkf "drops" 2.0 o.Best_response.cost
 
 let test_local_search_stays_at_optimum () =
   let s = Strategy.of_buys ~n:6 (Ncg_gen.Classic.star_buys 6) in
   let v = view_of s ~k:2 0 in
-  let o = Best_response.local_search ~alpha:2.0 v in
+  let o = Deviation.local_search Game.Max ~alpha:2.0 v in
   Alcotest.(check (list int)) "center unchanged" v.View.owned o.Best_response.targets
 
 let prop_local_search_between_current_and_best =
@@ -205,23 +187,35 @@ let prop_local_search_between_current_and_best =
       let u = seed mod n in
       let v = View.extract s (Strategy.graph s) ~k u in
       let best = Best_response.compute ~alpha v in
-      let local = Best_response.local_search ~alpha v in
+      let local = Deviation.local_search Game.Max ~alpha v in
       best.Best_response.cost <= local.Best_response.cost +. 1e-9
-      && local.Best_response.cost <= Best_response.current_cost ~alpha v +. 1e-9)
+      && local.Best_response.cost
+         <= (Deviation.current Game.Max ~alpha v).Deviation.cost +. 1e-9)
 
 (* --- Properties ------------------------------------------------------------ *)
 
+(* Views with at most 12 candidates: random trees, or G(n,p) graphs for
+   cyclic views, with every edge given to a random endpoint so that
+   players have in-buyers. *)
 let prop_matches_brute_force =
-  QCheck.Test.make ~name:"MDS reduction matches brute force over subsets" ~count:60
+  QCheck.Test.make ~name:"MDS reduction matches brute force over subsets" ~count:150
     QCheck.(
-      quad (int_range 2 7) (int_range 1 3) (int_range 0 10_000)
+      quad (int_range 4 13) (int_range 1 4) (int_range 0 100_000)
         (float_range 0.1 4.0))
     (fun (n, k, seed, alpha) ->
-      let s = random_profile seed n in
-      let u = seed mod n in
-      let v = View.extract s (Strategy.graph s) ~k u in
-      let o = Best_response.compute ~alpha v in
-      abs_float (o.Best_response.cost -. brute_force_cost ~alpha v) < 1e-9)
+      let rng = Rng.create seed in
+      let g =
+        if seed mod 2 = 0 then Ncg_gen.Random_tree.generate rng n
+        else Ncg_gen.Erdos_renyi.generate rng ~n ~p:(0.15 +. (0.5 *. Rng.float rng))
+      in
+      let s = Strategy.random_orientation rng g in
+      let v = View.extract s (Strategy.graph s) ~k (Rng.int rng n) in
+      let oracle = (Deviation.exhaustive Game.Max ~alpha v).Deviation.cost in
+      List.for_all
+        (fun solver ->
+          let o = Best_response.compute ~solver ~alpha v in
+          abs_float (o.Best_response.cost -. oracle) < 1e-9)
+        [ `Exact; `Budgeted 50_000 ])
 
 let prop_cost_consistent =
   QCheck.Test.make ~name:"reported cost matches re-evaluating the strategy" ~count:100
@@ -233,16 +227,7 @@ let prop_cost_consistent =
       let u = seed mod n in
       let v = View.extract s (Strategy.graph s) ~k u in
       let o = Best_response.compute ~alpha v in
-      let h' = View.with_strategy v o.Best_response.targets in
-      match Ncg_graph.Bfs.eccentricity h' v.View.player with
-      | Some ecc ->
-          ecc = o.Best_response.usage
-          && abs_float
-               (o.Best_response.cost
-               -. ((alpha *. float_of_int (List.length o.Best_response.targets))
-                  +. float_of_int ecc))
-             < 1e-9
-      | None -> false)
+      Deviation.evaluate Game.Max ~alpha v o.Best_response.targets = Some o)
 
 let prop_never_worse_than_current =
   QCheck.Test.make ~name:"best response never exceeds the current cost" ~count:100
@@ -254,7 +239,8 @@ let prop_never_worse_than_current =
       let u = seed mod n in
       let v = View.extract s (Strategy.graph s) ~k u in
       let o = Best_response.compute ~alpha v in
-      o.Best_response.cost <= Best_response.current_cost ~alpha v +. 1e-9)
+      o.Best_response.cost
+      <= (Deviation.current Game.Max ~alpha v).Deviation.cost +. 1e-9)
 
 let () =
   Alcotest.run "best_response"

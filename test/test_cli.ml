@@ -206,6 +206,56 @@ let test_served_matches_one_shot () =
           Alcotest.(check string)
             "served CSV = one-shot CSV" one_shot.out served.out))
 
+(* A stored sweep SIGKILLed once its first cell is durably in the log
+   resumes, at a different --domains, to the uninterrupted CSV, and at
+   least one cell comes from the store; a third run is all hits. *)
+let test_resume_after_kill () =
+  with_temp_dir (fun dir ->
+      let store = Filename.concat dir "store" in
+      let sweep =
+        [ "--class"; "tree"; "-n"; "30"; "--alphas"; "0.5,1,2";
+          "--ks"; "2,3,1000"; "--trials"; "8"; "--seed"; "2014"; "--quiet" ]
+      in
+      let stored domains =
+        sweep @ [ "--domains"; domains; "--store"; store ]
+      in
+      let uninterrupted = run "ncg_experiment" (sweep @ [ "--domains"; "2" ]) in
+      Alcotest.(check int) "uninterrupted exit" 0 uninterrupted.code;
+      let partial = create (Filename.concat dir "partial.csv") in
+      let pid =
+        spawn "ncg_experiment" (stored "1") ~stdout:partial ~stderr:partial
+      in
+      Unix.close partial;
+      let log_size () =
+        match Unix.stat (Filename.concat store "records.log") with
+        | st -> st.Unix.st_size
+        | exception Unix.Unix_error _ -> 0
+      in
+      let rec await_first_cell tries =
+        if log_size () <= 8 && tries > 0 then begin
+          Unix.sleepf 0.001;
+          await_first_cell (tries - 1)
+        end
+      in
+      await_first_cell 10_000;
+      Unix.kill pid Sys.sigkill;
+      Alcotest.(check int) "killed mid-sweep" (-1) (exit_code pid);
+      Alcotest.(check bool) "a cell was stored" true (log_size () > 8);
+      let hits r =
+        Scanf.sscanf
+          (List.find
+             (String.starts_with ~prefix:"store ")
+             (String.split_on_char '\n' r.err))
+          "store %_s %d hit" Fun.id
+      in
+      let resumed = run "ncg_experiment" (stored "4" @ [ "--resume" ]) in
+      Alcotest.(check int) "resume exit" 0 resumed.code;
+      Alcotest.(check string) "resumed CSV" uninterrupted.out resumed.out;
+      Alcotest.(check bool) "resume hits the store" true (hits resumed >= 1);
+      let cached = run "ncg_experiment" (stored "2" @ [ "--resume" ]) in
+      Alcotest.(check string) "cached CSV" uninterrupted.out cached.out;
+      Alcotest.(check int) "all hits" 9 (hits cached))
+
 let () =
   Alcotest.run "cli"
     [
@@ -222,5 +272,10 @@ let () =
         [
           Alcotest.test_case "served sweep = one-shot --by-cell-seeds" `Quick
             test_served_matches_one_shot;
+        ] );
+      ( "store",
+        [
+          Alcotest.test_case "resume after SIGKILL = uninterrupted" `Quick
+            test_resume_after_kill;
         ] );
     ]

@@ -5,6 +5,7 @@ module Graph = Ncg_graph.Graph
 module Strategy = Ncg.Strategy
 module View = Ncg.View
 module Lke = Ncg.Lke
+module Deviation = Ncg.Deviation
 module Game = Ncg.Game
 module Rng = Ncg_prng.Rng
 
@@ -17,21 +18,21 @@ let test_delta_max_values () =
   (* Triangle, 0 owns (0,1), alpha=5, k=1. Dropping: delta = -5 + (2-1). *)
   let s = Strategy.of_buys ~n:3 [ (0, 1); (1, 2); (2, 0) ] in
   let v = View.extract s (Strategy.graph s) ~k:1 0 in
-  checkf "drop" (-4.0) (Lke.delta_max ~alpha:5.0 v []);
-  checkf "keep" 0.0 (Lke.delta_max ~alpha:5.0 v v.View.owned)
+  checkf "drop" (-4.0) (Deviation.delta Game.Max ~alpha:5.0 v []);
+  checkf "keep" 0.0 (Deviation.delta Game.Max ~alpha:5.0 v v.View.owned)
 
 let test_delta_max_disconnect_infinite () =
   let s = Strategy.of_buys ~n:3 [ (0, 1); (1, 2) ] in
   let v = View.extract s (Strategy.graph s) ~k:2 0 in
-  check_bool "disconnect = +inf" true (Lke.delta_max ~alpha:1.0 v [] = infinity)
+  check_bool "disconnect = +inf" true (Deviation.delta Game.Max ~alpha:1.0 v [] = infinity)
 
 let test_delta_sum_frontier_infinite () =
   (* Path 0-1-2-3-4, player 2, k=2: dropping (2,3) pushes the frontier
      vertex 4 out -> infinite delta by Proposition 2.2. *)
   let s = Strategy.of_buys ~n:5 [ (0, 1); (1, 2); (2, 3); (3, 4) ] in
   let v = View.extract s (Strategy.graph s) ~k:2 2 in
-  check_bool "frontier push = +inf" true (Lke.delta_sum ~alpha:1.0 v [] = infinity);
-  checkf "keep" 0.0 (Lke.delta_sum ~alpha:1.0 v v.View.owned)
+  check_bool "frontier push = +inf" true (Deviation.delta Game.Sum ~alpha:1.0 v [] = infinity);
+  checkf "keep" 0.0 (Deviation.delta Game.Sum ~alpha:1.0 v v.View.owned)
 
 (* --- Equilibrium checks -------------------------------------------------------- *)
 
@@ -116,7 +117,7 @@ let prop_proposition_2_1 =
              (List.init count (fun _ -> hosts.(Rng.int rng (Array.length hosts)))))
       in
       let targets_view = View.of_host view targets_host in
-      let delta = Lke.delta_max ~alpha view targets_view in
+      let delta = Deviation.delta Game.Max ~alpha view targets_view in
       match actual_cost_change Game.Max ~alpha s u targets_host with
       | Some change -> change <= delta +. 1e-9
       | None -> delta = infinity || delta > 0.0)
@@ -141,7 +142,7 @@ let prop_proposition_2_2 =
              (List.init count (fun _ -> hosts.(Rng.int rng (Array.length hosts)))))
       in
       let targets_view = View.of_host view targets_host in
-      let delta = Lke.delta_sum ~alpha view targets_view in
+      let delta = Deviation.delta Game.Sum ~alpha view targets_view in
       if delta = infinity then true
       else begin
         match actual_cost_change Game.Sum ~alpha s u targets_host with
@@ -165,8 +166,46 @@ let prop_converged_profiles_pass_violations =
       List.for_all
         (fun (u, (o : Ncg.Best_response.outcome)) ->
           let view = View.extract s (Strategy.graph s) ~k u in
-          Lke.delta_max ~alpha view o.Ncg.Best_response.targets < 0.0)
+          Deviation.delta Game.Max ~alpha view o.Ncg.Best_response.targets < 0.0)
         violations)
+
+(* --- A certificate that does not use the engine -------------------------------- *)
+
+(* Sweep-configured dynamics on small trees and G(n,p) graphs; every
+   converged profile must be an LKE by exhaustive enumeration of each
+   player's deviations ({!Deviation.exhaustive}), not by
+   [Best_response], the solver that produced it. *)
+let test_converged_profiles_certified () =
+  let spec = { Ncg.Sweep_spec.default with n = 12; p = 0.3 } in
+  let converged = ref 0 in
+  List.iter
+    (fun (graph_class, seed) ->
+      let spec = { spec with Ncg.Sweep_spec.graph_class } in
+      List.iter
+        (fun (alpha, k) ->
+          let config = Ncg.Sweep_spec.make_config spec { Ncg.Experiment.alpha; k } in
+          let result =
+            Ncg.Dynamics.run config (Ncg.Sweep_spec.make_initial spec ~seed)
+          in
+          match result.Ncg.Dynamics.outcome with
+          | Ncg.Dynamics.Converged _ ->
+              incr converged;
+              let s = result.Ncg.Dynamics.final in
+              let g = Strategy.graph s in
+              for u = 0 to Strategy.n_players s - 1 do
+                let view = View.extract s g ~k u in
+                let best = Deviation.exhaustive Game.Max ~alpha view in
+                let current = Deviation.current Game.Max ~alpha view in
+                check_bool
+                  (Printf.sprintf "%s seed %d alpha %g k %d player %d" graph_class
+                     seed alpha k u)
+                  true
+                  (best.Deviation.cost >= current.Deviation.cost -. 1e-9)
+              done
+          | Ncg.Dynamics.Cycle_detected _ | Ncg.Dynamics.Max_rounds_exceeded -> ())
+        [ (0.5, 1); (0.5, 2); (0.5, 1000); (2.0, 1); (2.0, 2); (2.0, 1000) ])
+    [ ("tree", 1); ("tree", 2); ("tree", 3); ("gnp", 1); ("gnp", 2); ("gnp", 3) ];
+  check_bool "most runs converge" true (!converged >= 30)
 
 let () =
   Alcotest.run "lke"
@@ -191,5 +230,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_proposition_2_1;
           QCheck_alcotest.to_alcotest prop_proposition_2_2;
           QCheck_alcotest.to_alcotest prop_converged_profiles_pass_violations;
+        ] );
+      ( "certificate",
+        [
+          Alcotest.test_case "converged sweep profiles pass exhaustive search"
+            `Quick test_converged_profiles_certified;
         ] );
     ]

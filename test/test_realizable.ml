@@ -6,7 +6,6 @@ module Bfs = Ncg_graph.Bfs
 module Strategy = Ncg.Strategy
 module View = Ncg.View
 module Realizable = Ncg.Realizable
-module Lke = Ncg.Lke
 module Rng = Ncg_prng.Rng
 
 let check_bool = Alcotest.(check bool)
@@ -87,7 +86,7 @@ let test_prop_2_2_sharpness () =
   let zero = List.hd (View.of_host v [ 0 ]) in
   let deviation = [ zero ] in
   check_bool "delta_sum infinite" true
-    (Lke.delta_sum ~alpha:1.0 v deviation = infinity);
+    (Ncg.Deviation.delta Ncg.Game.Sum ~alpha:1.0 v deviation = infinity);
   (* Realize networks with growing chains behind frontier vertex 4 and
      measure the player's true cost under the deviation: it must grow. *)
   let four = List.hd (View.of_host v [ 4 ]) in
@@ -141,7 +140,7 @@ let prop_2_1_on_extensions =
                  (fun x -> x <> v.View.player)
                  (List.init count (fun _ -> Rng.int rng nv)))
           in
-          let delta = Lke.delta_max ~alpha:1.0 v targets in
+          let delta = Ncg.Deviation.delta Ncg.Game.Max ~alpha:1.0 v targets in
           (* Realized cost change on the extension. *)
           let big = r.Ncg.Realizable.graph in
           let nb = Graph.order big in

@@ -3,6 +3,8 @@
 module Strategy = Ncg.Strategy
 module View = Ncg.View
 module Sum_best_response = Ncg.Sum_best_response
+module Deviation = Ncg.Deviation
+module Game = Ncg.Game
 module Rng = Ncg_prng.Rng
 
 let check_int = Alcotest.(check int)
@@ -11,6 +13,13 @@ let checkf msg = Alcotest.(check (float 1e-9)) msg
 
 let view_of strategy ~k u = View.extract strategy (Strategy.graph strategy) ~k u
 
+(* Prop. 2.2: a deviation is admissible when it keeps every view vertex
+   reachable and every frontier vertex within distance k. *)
+let admissible v targets = Deviation.evaluate Game.Sum ~alpha:1.0 v targets <> None
+let current_cost ~alpha v = (Deviation.current Game.Sum ~alpha v).Deviation.cost
+let exact ~alpha v = Deviation.exhaustive Game.Sum ~alpha v
+let local_search ~alpha v = Deviation.local_search Game.Sum ~alpha v
+
 let path5 = Strategy.of_buys ~n:5 [ (0, 1); (1, 2); (2, 3); (3, 4) ]
 
 (* --- Admissibility (Proposition 2.2) -------------------------------------- *)
@@ -18,12 +27,12 @@ let path5 = Strategy.of_buys ~n:5 [ (0, 1); (1, 2); (2, 3); (3, 4) ]
 let test_admissible_current () =
   let v = view_of path5 ~k:2 2 in
   check_bool "current strategy admissible" true
-    (Sum_best_response.admissible v v.View.owned)
+    (admissible v v.View.owned)
 
 let test_inadmissible_disconnect () =
   (* Player 2 dropping the edge to 3 cuts the frontier vertex 4 off. *)
   let v = view_of path5 ~k:2 2 in
-  check_bool "dropping 2-3 inadmissible" false (Sum_best_response.admissible v [])
+  check_bool "dropping 2-3 inadmissible" false (admissible v [])
 
 let test_inadmissible_frontier_pushed () =
   (* Path 0..6, player 3 owns (3,4); k=3 so frontier = {0, 6}. Swapping the
@@ -33,8 +42,8 @@ let test_inadmissible_frontier_pushed () =
   let s = Strategy.of_buys ~n:7 (List.init 6 (fun i -> (i, i + 1))) in
   let v = view_of s ~k:3 3 in
   let five = List.hd (View.of_host v [ 5 ]) in
-  check_bool "swap admissible" true (Sum_best_response.admissible v [ five ]);
-  check_bool "drop inadmissible" false (Sum_best_response.admissible v [])
+  check_bool "swap admissible" true (admissible v [ five ]);
+  check_bool "drop inadmissible" false (admissible v [])
 
 let test_frontier_increase_rejected () =
   (* Star + pendant: center 0 adjacent to 1,2; 2-3 pendant. Player 1 with
@@ -46,22 +55,22 @@ let test_frontier_increase_rejected () =
   let v = view_of s ~k:2 1 in
   check_int "sees 3 of 4" 3 (View.size v);
   let two = List.hd (View.of_host v [ 2 ]) in
-  check_bool "swap to 2 admissible" true (Sum_best_response.admissible v [ two ])
+  check_bool "swap to 2 admissible" true (admissible v [ two ])
 
 (* --- Costs ------------------------------------------------------------------ *)
 
 let test_cost_on_view () =
   let v = view_of path5 ~k:10 0 in
   (* Current: alpha*1 + (1+2+3+4). *)
-  checkf "current" 11.0 (Sum_best_response.current_cost ~alpha:1.0 v);
+  checkf "current" 11.0 (current_cost ~alpha:1.0 v);
   let two = List.hd (View.of_host v [ 2 ]) in
-  (match Sum_best_response.cost_on_view ~alpha:1.0 v [ two ] with
-  | Some c ->
+  (match Deviation.evaluate Game.Sum ~alpha:1.0 v [ two ] with
+  | Some o ->
       (* Edges: 0-2 plus 1-2,2-3,3-4: d = 2,1,2,3 -> 8 + alpha. *)
-      checkf "deviate" 9.0 c
+      checkf "deviate" 9.0 o.Deviation.cost
   | None -> Alcotest.fail "connected");
   check_bool "disconnect gives None" true
-    (Sum_best_response.cost_on_view ~alpha:1.0 v [] = None)
+    (Deviation.evaluate Game.Sum ~alpha:1.0 v [] = None)
 
 (* --- Exact solver ------------------------------------------------------------- *)
 
@@ -70,34 +79,34 @@ let test_exact_star_leaf () =
      leaves is the best response: 0.6 + 3 = 3.6. *)
   let s = Strategy.of_buys ~n:4 (Ncg_gen.Classic.star_buys 4) in
   let v = view_of s ~k:2 1 in
-  checkf "current" 5.0 (Sum_best_response.current_cost ~alpha:0.3 v);
-  let o = Sum_best_response.exact ~alpha:0.3 v in
+  checkf "current" 5.0 (current_cost ~alpha:0.3 v);
+  let o = exact ~alpha:0.3 v in
   checkf "best" 3.6 o.Sum_best_response.cost;
   check_int "buys 2" 2 (List.length o.Sum_best_response.targets);
   (* With alpha = 1.5 staying put is best (the leaf owns nothing). *)
-  let o2 = Sum_best_response.exact ~alpha:1.5 v in
+  let o2 = exact ~alpha:1.5 v in
   checkf "stays" 5.0 o2.Sum_best_response.cost
 
 let test_exact_respects_admissibility () =
   (* Player 2 on the path must keep 0 and 4 within k=2; check the exact
      optimizer only returns admissible strategies. *)
   let v = view_of path5 ~k:2 2 in
-  let o = Sum_best_response.exact ~alpha:0.2 v in
-  check_bool "admissible" true (Sum_best_response.admissible v o.Sum_best_response.targets)
+  let o = exact ~alpha:0.2 v in
+  check_bool "admissible" true (admissible v o.Sum_best_response.targets)
 
 let test_exact_too_large () =
   let s = Strategy.of_buys ~n:20 (Ncg_gen.Classic.star_buys 20) in
   let v = view_of s ~k:2 1 in
   Alcotest.check_raises "view too large"
-    (Invalid_argument "Sum_best_response.exact: view too large for enumeration")
-    (fun () -> ignore (Sum_best_response.exact ~alpha:1.0 v))
+    (Invalid_argument "Deviation.exhaustive: view too large for enumeration")
+    (fun () -> ignore (exact ~alpha:1.0 v))
 
 (* --- Branch and bound -------------------------------------------------------- *)
 
 let test_bb_matches_exact_small () =
   let s = Strategy.of_buys ~n:4 (Ncg_gen.Classic.star_buys 4) in
   let v = view_of s ~k:2 1 in
-  let e = Sum_best_response.exact ~alpha:0.3 v in
+  let e = exact ~alpha:0.3 v in
   let b = Sum_best_response.branch_and_bound ~alpha:0.3 v in
   checkf "same optimum" e.Sum_best_response.cost b.Sum_best_response.cost
 
@@ -129,7 +138,7 @@ let prop_bb_matches_enumeration =
       let s = Strategy.random_orientation rng g in
       let u = seed mod n in
       let v = View.extract s (Strategy.graph s) ~k u in
-      let e = Sum_best_response.exact ~alpha v in
+      let e = exact ~alpha v in
       let b = Sum_best_response.branch_and_bound ~alpha v in
       abs_float (e.Sum_best_response.cost -. b.Sum_best_response.cost) < 1e-9)
 
@@ -140,15 +149,15 @@ let test_local_search_swap () =
      strictly reduces the distance sum (12 -> 11). *)
   let s = Strategy.of_buys ~n:7 (List.init 6 (fun i -> (i, i + 1))) in
   let v = view_of s ~k:10 3 in
-  let o = Sum_best_response.local_search ~alpha:1.0 v in
+  let o = local_search ~alpha:1.0 v in
   check_bool "improved" true
-    (o.Sum_best_response.cost < Sum_best_response.current_cost ~alpha:1.0 v -. 1e-9)
+    (o.Sum_best_response.cost < current_cost ~alpha:1.0 v -. 1e-9)
 
 let test_local_search_stable_point () =
   (* Star leaf with expensive edges: local search stays put. *)
   let s = Strategy.of_buys ~n:5 (Ncg_gen.Classic.star_buys 5) in
   let v = view_of s ~k:2 1 in
-  let o = Sum_best_response.local_search ~alpha:3.0 v in
+  let o = local_search ~alpha:3.0 v in
   Alcotest.(check (list int)) "unchanged" v.View.owned o.Sum_best_response.targets
 
 let test_improving_modes () =
@@ -160,6 +169,27 @@ let test_improving_modes () =
     (Sum_best_response.improving ~alpha:0.3 ~mode:`Local_search v <> None);
   check_bool "no improvement at alpha=2" true
     (Sum_best_response.improving ~alpha:2.0 ~mode:(`Exact 16) v = None)
+
+(* --- Cancellation ------------------------------------------------------------------ *)
+
+(* Player 13 of the n = 40 random tree from seed 5 sees 18 candidates at
+   k = 4; at alpha = 0.7 both engines take several steps, so a tiny move
+   budget must cut them off instead of being ignored. *)
+let budget_view () =
+  let s = Ncg.Experiment.initial_tree ~seed:5 ~n:40 in
+  let v = view_of s ~k:4 13 in
+  check_int "18 candidates" 19 (View.size v);
+  v
+
+let exhausts budget mode =
+  let v = budget_view () in
+  Alcotest.check_raises "budget exhausted"
+    (Ncg_fault.Cancel.Timed_out "step budget exhausted") (fun () ->
+      Ncg_fault.Cancel.with_step_budget budget (fun () ->
+          ignore (Sum_best_response.improving ~alpha:0.7 ~mode v)))
+
+let test_bb_polls () = exhausts 3 (`Branch_and_bound 34)
+let test_local_search_polls () = exhausts 1 `Local_search
 
 (* --- Properties --------------------------------------------------------------------- *)
 
@@ -176,9 +206,9 @@ let prop_exact_beats_local_search =
       let s = random_profile seed n in
       let u = seed mod n in
       let v = View.extract s (Strategy.graph s) ~k u in
-      let exact = Sum_best_response.exact ~alpha v in
-      let local = Sum_best_response.local_search ~alpha v in
-      let current = Sum_best_response.current_cost ~alpha v in
+      let exact = exact ~alpha v in
+      let local = local_search ~alpha v in
+      let current = current_cost ~alpha v in
       exact.Sum_best_response.cost <= local.Sum_best_response.cost +. 1e-9
       && local.Sum_best_response.cost <= current +. 1e-9)
 
@@ -190,8 +220,8 @@ let prop_exact_admissible =
       let s = random_profile seed n in
       let u = seed mod n in
       let v = View.extract s (Strategy.graph s) ~k u in
-      let o = Sum_best_response.exact ~alpha v in
-      Sum_best_response.admissible v o.Sum_best_response.targets)
+      let o = exact ~alpha v in
+      admissible v o.Sum_best_response.targets)
 
 let prop_cost_consistent =
   QCheck.Test.make ~name:"reported cost matches re-evaluation" ~count:50
@@ -201,9 +231,9 @@ let prop_cost_consistent =
       let s = random_profile seed n in
       let u = seed mod n in
       let v = View.extract s (Strategy.graph s) ~k u in
-      let o = Sum_best_response.exact ~alpha v in
-      match Sum_best_response.cost_on_view ~alpha v o.Sum_best_response.targets with
-      | Some c -> abs_float (c -. o.Sum_best_response.cost) < 1e-9
+      let o = exact ~alpha v in
+      match Deviation.evaluate Game.Sum ~alpha v o.Sum_best_response.targets with
+      | Some c -> abs_float (c.Deviation.cost -. o.Sum_best_response.cost) < 1e-9
       | None -> false)
 
 let () =
@@ -236,6 +266,13 @@ let () =
           Alcotest.test_case "finds swap" `Quick test_local_search_swap;
           Alcotest.test_case "stable point" `Quick test_local_search_stable_point;
           Alcotest.test_case "improving modes" `Quick test_improving_modes;
+        ] );
+      ( "cancel",
+        [
+          Alcotest.test_case "branch and bound obeys the move budget" `Quick
+            test_bb_polls;
+          Alcotest.test_case "local search obeys the move budget" `Quick
+            test_local_search_polls;
         ] );
       ( "properties",
         [

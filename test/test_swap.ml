@@ -3,6 +3,7 @@
 module Strategy = Ncg.Strategy
 module View = Ncg.View
 module Swap = Ncg.Swap
+module Deviation = Ncg.Deviation
 module Lke = Ncg.Lke
 module Rng = Ncg_prng.Rng
 
@@ -16,16 +17,16 @@ let test_swap_deviations_count () =
      each owned target can be swapped to each of the 2 non-owned. *)
   let s = Strategy.of_buys ~n:5 [ (0, 1); (0, 2); (1, 3); (3, 4); (2, 4) ] in
   let v = view_of s ~k:10 0 in
-  check_int "2 owned x 2 candidates" 4 (List.length (Swap.swap_deviations v));
+  check_int "2 owned x 2 candidates" 4 (List.length (Deviation.swaps v v.View.owned));
   (* Each deviation keeps the edge count. *)
   List.iter
     (fun targets -> check_int "count preserved" 2 (List.length targets))
-    (Swap.swap_deviations v)
+    (Deviation.swaps v v.View.owned)
 
 let test_no_owned_no_swaps () =
   let s = Strategy.of_buys ~n:4 (Ncg_gen.Classic.star_buys 4) in
   let v = view_of s ~k:2 1 in
-  check_int "leaf owns nothing" 0 (List.length (Swap.swap_deviations v))
+  check_int "leaf owns nothing" 0 (List.length (Deviation.swaps v v.View.owned))
 
 let test_path_end_swap_unstable () =
   (* Path 0-1-2-3-4-5 with full view: player 0 owning (0,1) improves her

@@ -45,15 +45,22 @@ let compute ?ws ?(solver = `Exact) ?max_edges ?allowed ~alpha (v : View.t) =
             (List.init (Graph.order h0) Fun.id)
     in
     (* One context for the whole radius loop: distance rows are computed
-       once and the covering balls grow incrementally with h, instead of n
-       BFS runs per radius. The optional workspace lends BFS scratch to the
-       context build and a bitset pool to every branch-and-bound solve. *)
+       once, on the first radius >= 1, and only as deep as the loop can
+       reach (h − 1 for the largest h < current cost, h <= nv); the
+       covering balls grow incrementally with h. The optional workspace
+       lends BFS scratch to the context build and a bitset pool to every
+       branch-and-bound solve. *)
     let scratch = Option.map (fun w -> w.Workspace.bfs) ws in
     let cover_ws = Option.map (fun w -> w.Workspace.cover) ws in
     let dom_ws = Option.map (fun w -> w.Workspace.dom) ws in
+    let last_h =
+      let c = current.cost -. 1e-9 in
+      if c > float_of_int nv then nv
+      else max 1 (int_of_float (Float.ceil c) - 1)
+    in
     let ctx =
-      Dominating_set.context ?scratch ?ws:dom_ws ~graph:h0 ~free_dominators
-        ~forbidden ()
+      Dominating_set.context ?scratch ?ws:dom_ws ~max_radius:(last_h - 1)
+        ~graph:h0 ~free_dominators ~forbidden ()
     in
     let best = ref current in
     let h = ref 1 in
@@ -79,11 +86,7 @@ let compute ?ws ?(solver = `Exact) ?max_edges ?allowed ~alpha (v : View.t) =
         | `Exact -> Dominating_set.solve_at ?ws:cover_ws ~max_size ctx ~radius
         | `Budgeted node_budget ->
             Dominating_set.solve_at ?ws:cover_ws ~max_size ~node_budget ctx ~radius
-        | `Greedy -> begin
-            match Dominating_set.greedy_at ?ws:cover_ws ctx ~radius with
-            | Some s when List.length s <= max_size -> Some s
-            | Some _ | None -> None
-          end
+        | `Greedy -> Dominating_set.greedy_at ?ws:cover_ws ~max_size ctx ~radius
       in
       (match solution with
       | Some chosen ->

@@ -263,7 +263,12 @@ module Json = Ncg_obs.Json
    pass instead of four, the round loop updates the host graph in place
    of rebuilding it, and view extraction no longer scans every player,
    so bfs.calls and the GC deltas fall — a cached /5 cell would disagree
-   with a recompute on both, although every CSV byte is unchanged. *)
+   with a recompute on both, although every CSV byte is unchanged. /7:
+   the dominating-set radius loop answers radius 0 in closed form and
+   skips radii no cover can win, counted in the new
+   dominating_set.shortcuts counter (shape change); set_cover.solves,
+   bfs.calls and the other solver counters fall, so /6 records would
+   disagree with a recompute on the counters section. *)
 let cell_payload_schema = Ncg_obs.Schema.store_cell
 
 let bool_of_json name = function

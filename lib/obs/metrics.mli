@@ -38,6 +38,10 @@ val set_cover_cutoffs : counter  (** lower-bound prunes in [Set_cover.solve] *)
 
 val set_cover_greedy : counter  (** greedy warm starts / greedy solves *)
 
+val dominating_set_shortcuts : counter
+(** dominating-set radii answered without a set-cover solve (radius-0
+    closed form, covered or counting-bound-infeasible radii) *)
+
 val best_response_calls : counter  (** [Best_response.compute] invocations *)
 
 val best_response_radii : counter  (** dominating-set radii (h values) tried *)

@@ -16,7 +16,7 @@ let obs_probes = "ncg.obs.probes/1"
 
 (* lib/store *)
 let store_manifest = "ncg.store/1"
-let store_cell = "ncg.store.cell/6"
+let store_cell = "ncg.store.cell/7"
 
 (* lib/core *)
 let experiment_telemetry = "ncg.experiment.telemetry/4"

@@ -21,37 +21,53 @@ type problem = {
 (** {1 Amortised radius loop}
 
     The best-response oracle solves the same graph at radii 0, 1, 2, ... —
-    a {!context} computes the all-pairs distance rows once and grows each
-    covering ball incrementally as the radius advances, instead of
-    re-running n BFS per radius. *)
+    a {!context} computes the distance rows once and grows each covering
+    ball by cursor as the radius advances, instead of re-running n BFS per
+    radius. Radii that cannot yield a cover are answered without a
+    {!Set_cover} solve, each counted in [dominating_set.shortcuts]:
+
+    - radius 0 in closed form: the only cover of the vertices outside the
+      free dominators is that set itself, in ascending order;
+    - a radius whose free balls cover everything: [Some []];
+    - a radius where the counting bound ⌈|U| / max_v |B_r(v) ∩ U|⌉ over
+      the uncovered set U and the non-forbidden v exceeds [max_size] (or
+      no such ball meets U): [None].
+
+    Every answer equals {!Set_cover.solve} (or {!Set_cover.greedy}) on the
+    corresponding instance. *)
 
 type context
 
-(** A growable distance-matrix buffer reused across contexts. At most one
+(** Growable distance-row buffers reused across contexts. At most one
     context built from a given workspace may be live at a time — creating
-    the next one overwrites the matrix. Not domain-safe. *)
+    the next one invalidates the previous. Not domain-safe. *)
 type workspace
 
 val create_workspace : unit -> workspace
 
-(** [context ~graph ~free_dominators ~forbidden ()] prepares the radius
-    loop: n BFS runs (borrowing [?scratch] when given — the context does
-    not alias it afterwards) plus one n-bit set per vertex at radius 0.
-    [?ws] lends the distance-matrix buffer; the context borrows it until
-    the next [context] call on the same workspace. *)
+(** [context ?max_radius ~graph ~free_dominators ~forbidden ()] prepares
+    the radius loop. Nothing is searched until the first radius ≥ 1:
+    then n BFS runs, each stopped at depth [max_radius] (default
+    unbounded), fill the distance rows; [?scratch] is borrowed for that
+    build only. [?ws] lends the row buffers; the context borrows them
+    until the next [context] call on the same workspace. *)
 val context :
   ?scratch:Ncg_graph.Bfs.scratch ->
   ?ws:workspace ->
+  ?max_radius:int ->
   graph:Ncg_graph.Graph.t ->
   free_dominators:int list ->
   forbidden:int list ->
   unit ->
   context
 
-(** [solve_at ?ws ctx ~radius] is {!solve} of the corresponding problem,
-    reusing the context's distance rows and ball sets. Radii may be visited
-    in any order; advancing is monotone internally. [?ws] threads a
-    {!Set_cover.workspace} through the underlying branch and bound. *)
+(** [solve_at ?ws ?max_size ?node_budget ctx ~radius] is {!solve} of the
+    corresponding problem, reusing the context's distance rows and ball
+    sets. Radii must be visited in non-decreasing order (repeats allowed):
+    balls only grow. [?ws] threads a {!Set_cover.workspace} through the
+    underlying branch and bound.
+    @raise Invalid_argument when [radius] is negative, below a radius
+    already visited on [ctx], or above the context's [max_radius]. *)
 val solve_at :
   ?ws:Set_cover.workspace ->
   ?max_size:int ->
@@ -60,8 +76,10 @@ val solve_at :
   radius:int ->
   int list option
 
-(** Greedy variant of {!solve_at}. *)
-val greedy_at : ?ws:Set_cover.workspace -> context -> radius:int -> int list option
+(** Greedy variant of {!solve_at}: [None] also when the greedy cover has
+    more than [max_size] vertices. Same radius rules. *)
+val greedy_at :
+  ?ws:Set_cover.workspace -> ?max_size:int -> context -> radius:int -> int list option
 
 (** {1 One-shot problems} *)
 

@@ -217,6 +217,59 @@ let prop_matches_brute_force =
           abs_float (o.Best_response.cost -. oracle) < 1e-9)
         [ `Exact; `Budgeted 50_000 ])
 
+(* The same oracle under [?allowed] and [?max_edges]: every subset of the
+   view's non-player vertices, kept only when it lies in the whitelist and
+   within the edge cap, priced by [Deviation.evaluate]; the current
+   strategy (which satisfies both) wins ties. Forbidden targets reach the
+   radius-0 closed form and tight caps the counting-bound skip. *)
+let restricted_exhaustive ~alpha ~allowed ~max_edges (v : View.t) =
+  let others =
+    Array.of_list
+      (List.filter (( <> ) v.View.player) (List.init (View.size v) Fun.id))
+  in
+  let m = Array.length others in
+  let best = ref (Deviation.current Game.Max ~alpha v) in
+  for mask = 0 to (1 lsl m) - 1 do
+    let targets = List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init m Fun.id) in
+    let targets = List.map (fun i -> others.(i)) targets in
+    if List.for_all (fun t -> List.mem t allowed) targets && List.length targets <= max_edges
+    then
+      match Deviation.evaluate Game.Max ~alpha v targets with
+      | Some o when o.Deviation.cost < !best.Deviation.cost -. 1e-12 -> best := o
+      | Some _ | None -> ()
+  done;
+  !best
+
+let prop_restricted_matches_brute_force =
+  QCheck.Test.make ~name:"restricted MDS reduction matches filtered brute force"
+    ~count:150
+    QCheck.(
+      quad (int_range 4 12) (int_range 1 4) (int_range 0 100_000)
+        (float_range 0.1 4.0))
+    (fun (n, k, seed, alpha) ->
+      let rng = Rng.create seed in
+      let g =
+        if seed mod 2 = 0 then Ncg_gen.Random_tree.generate rng n
+        else Ncg_gen.Erdos_renyi.generate rng ~n ~p:(0.15 +. (0.5 *. Rng.float rng))
+      in
+      let s = Strategy.random_orientation rng g in
+      let v = View.extract s (Strategy.graph s) ~k (Rng.int rng n) in
+      let owned = v.View.owned in
+      let allowed =
+        List.filter
+          (fun t -> t <> v.View.player && (List.mem t owned || Rng.bernoulli rng 0.5))
+          (List.init (View.size v) Fun.id)
+      in
+      let max_edges = List.length owned + Rng.int rng 3 in
+      let oracle = (restricted_exhaustive ~alpha ~allowed ~max_edges v).Deviation.cost in
+      List.for_all
+        (fun solver ->
+          let o = Best_response.compute ~solver ~allowed ~max_edges ~alpha v in
+          abs_float (o.Best_response.cost -. oracle) < 1e-9
+          && List.for_all (fun t -> List.mem t allowed) o.Best_response.targets
+          && List.length o.Best_response.targets <= max_edges)
+        [ `Exact; `Budgeted 50_000 ])
+
 let prop_cost_consistent =
   QCheck.Test.make ~name:"reported cost matches re-evaluating the strategy" ~count:100
     QCheck.(
@@ -274,6 +327,7 @@ let () =
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_matches_brute_force;
+          QCheck_alcotest.to_alcotest prop_restricted_matches_brute_force;
           QCheck_alcotest.to_alcotest prop_cost_consistent;
           QCheck_alcotest.to_alcotest prop_never_worse_than_current;
         ] );

@@ -284,7 +284,7 @@ let test_probes_toggle_and_series () =
       { Experiment.alpha = 0.5; k = 2 }
   in
   check_bool "cache key depends on the probes flag" false (key true = key false);
-  (* Cell payload codec (ncg.store.cell/6) round-trips the series. *)
+  (* Cell payload codec (ncg.store.cell/7) round-trips the series. *)
   match Experiment.cell_result_of_json (Experiment.cell_result_to_json first) with
   | Ok rt ->
       check_bool "payload round-trips probe series" true
@@ -309,6 +309,23 @@ let test_sweep_counters_isolated_per_cell () =
          | None -> v = 0)
        outer);
   check_bool "totals positive" true (List.assoc "bfs.calls" totals > 0)
+
+let test_every_radius_solved_or_shortcut () =
+  (* Each radius of the best-response loop is answered either by one
+     set-cover solve or by a Dominating_set shortcut, in every cell. *)
+  let count (r : Experiment.cell_result) name =
+    Option.value ~default:0 (List.assoc_opt name r.Experiment.counters)
+  in
+  let results = sweep_fixture ~domains:1 () in
+  List.iter
+    (fun r ->
+      check_int "radii_tried = solves + shortcuts"
+        (count r "best_response.radii_tried")
+        (count r "set_cover.solves" + count r "dominating_set.shortcuts"))
+    results;
+  let totals = Experiment.sweep_counters results in
+  check_bool "some radii shortcut" true
+    (List.assoc "dominating_set.shortcuts" totals > 0)
 
 let test_initial_ba_ws () =
   let ba = Experiment.initial_ba ~seed:4 ~n:30 ~m:2 in
@@ -453,6 +470,8 @@ let () =
             test_sweep_deterministic_across_domains;
           Alcotest.test_case "per-cell counter isolation" `Quick
             test_sweep_counters_isolated_per_cell;
+          Alcotest.test_case "every radius solved or shortcut" `Quick
+            test_every_radius_solved_or_shortcut;
           Alcotest.test_case "probes toggle + exemplar series" `Quick
             test_probes_toggle_and_series;
           Alcotest.test_case "--only-cell replays the full sweep" `Quick

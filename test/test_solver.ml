@@ -258,6 +258,119 @@ let prop_mds_on_random_graphs =
           && List.length exact <= List.length greedy
       | _ -> false)
 
+(* --- Amortised radius loop ------------------------------------------------ *)
+
+let test_context_radii_must_not_decrease () =
+  (* On the path 0-1-...-6 a context at radius 3 picks [3] and holds the
+     radius-3 balls, from which radius 1 would also read [3], a set that
+     does not dominate at radius 1. A radius below one already visited
+     raises instead; a fresh context answers radius 1. *)
+  let g = Classic.path 7 in
+  let ctx () = Dominating_set.context ~graph:g ~free_dominators:[] ~forbidden:[] () in
+  let c = ctx () in
+  Alcotest.(check (option (list int))) "radius 3" (Some [ 3 ])
+    (Dominating_set.solve_at c ~radius:3);
+  Alcotest.check_raises "radius 1 after radius 3"
+    (Invalid_argument "Dominating_set: radius below one already visited") (fun () ->
+      ignore (Dominating_set.solve_at c ~radius:1));
+  Alcotest.(check (option (list int))) "fresh context, radius 1" (Some [ 1; 4; 5 ])
+    (Dominating_set.solve_at (ctx ()) ~radius:1);
+  let capped = Dominating_set.context ~max_radius:2 ~graph:g ~free_dominators:[] ~forbidden:[] () in
+  Alcotest.check_raises "beyond max_radius"
+    (Invalid_argument "Dominating_set: radius beyond the context's max_radius") (fun () ->
+      ignore (Dominating_set.solve_at capped ~radius:3))
+
+(* The instance a context stands for, built independently from
+   [Bfs.ball]: vertex v's candidate set is its radius-r ball (empty when v
+   is forbidden), the free dominators' balls are pre-covered. *)
+let ball_instance g ~radius ~free ~forbidden =
+  let n = Graph.order g in
+  let ball v = Bitset.of_list n (Ncg_graph.Bfs.ball g v ~radius) in
+  let pre = Bitset.create n in
+  List.iter (fun v -> Bitset.union_into ~into:pre (ball v)) free;
+  {
+    Set_cover.universe = n;
+    sets = Array.init n (fun v -> if List.mem v forbidden then Bitset.create n else ball v);
+    pre_covered = Some pre;
+  }
+
+(* Every answer of the context path — the radius-0 closed form, covered
+   radii, counting-bound skips and real solves — equals Set_cover on the
+   independently built instance, over ascending radii on one context
+   whose workspace was already used by another. *)
+let prop_context_matches_set_cover =
+  QCheck.Test.make ~name:"solve_at/greedy_at = Set_cover on Bfs.ball instances" ~count:300
+    QCheck.(pair (int_range 1 14) (int_range 0 1_000_000))
+    (fun (n, seed) ->
+      let rng = Rng.create seed in
+      let graph () =
+        if Rng.bool rng then Ncg_gen.Random_tree.generate rng n
+        else Ncg_gen.Erdos_renyi.generate rng ~n ~p:(0.1 +. (0.4 *. Rng.float rng))
+      in
+      let subset q = List.filter (fun _ -> Rng.bernoulli rng q) (List.init n Fun.id) in
+      let option f = if Rng.bool rng then Some (f ()) else None in
+      let ws = Dominating_set.create_workspace () in
+      (* a first context on the same workspace, advanced and then dropped *)
+      ignore
+        (Dominating_set.solve_at ~ws:(Set_cover.create_workspace ())
+           (Dominating_set.context ~ws ~graph:(graph ()) ~free_dominators:[]
+              ~forbidden:[] ())
+           ~radius:1);
+      let g = graph () in
+      let free = subset 0.2 and forbidden = subset 0.3 in
+      let max_radius = Rng.int rng (n + 1) in
+      let ctx = Dominating_set.context ~ws ~max_radius ~graph:g ~free_dominators:free ~forbidden () in
+      let greedy_ctx =
+        Dominating_set.context ~max_radius ~graph:g ~free_dominators:free ~forbidden ()
+      in
+      let radii = List.filter (fun _ -> Rng.bernoulli rng 0.6) (List.init (max_radius + 1) Fun.id) in
+      List.for_all
+        (fun radius ->
+          let max_size = option (fun () -> Rng.int rng (n + 1)) in
+          let node_budget = option (fun () -> 1 + Rng.int rng 30) in
+          let inst = ball_instance g ~radius ~free ~forbidden in
+          let chosen = Option.map (fun s -> s.Set_cover.chosen) in
+          let fits l = match max_size with Some m -> List.length l <= m | None -> true in
+          let got = Dominating_set.solve_at ?max_size ?node_budget ctx ~radius in
+          let greedy = Dominating_set.greedy_at ?max_size greedy_ctx ~radius in
+          let dp_ok =
+            match (Set_cover.solve_dp inst, got) with
+            | Some d, Some l when node_budget = None ->
+                d.Set_cover.cardinality = List.length l
+            | Some d, None when node_budget = None -> not (fits d.Set_cover.chosen)
+            | None, None -> true
+            | None, Some _ -> false
+            | Some _, _ -> node_budget <> None
+          in
+          got = chosen (Set_cover.solve ?max_size ?node_budget inst)
+          && greedy = Option.bind (chosen (Set_cover.greedy inst))
+                        (fun l -> if fits l then Some l else None)
+          && dp_ok)
+        radii)
+
+let test_shortcuts_counted () =
+  (* Path 0-1-2-3-4 with free vertex 2: radius 0 is the closed form
+     [0;1;3;4], radius 1 a real solve, radius 2 covered by the free ball,
+     and a cap of 1 at radius 1 (two uncovered ends, balls of one) is
+     skipped by the counting bound. *)
+  let g = Classic.path 5 in
+  let run f = Ncg_obs.Metrics.collect f in
+  let count snap name = Option.value ~default:0 (List.assoc_opt name snap) in
+  let answers, snap =
+    run (fun () ->
+        let c = Dominating_set.context ~graph:g ~free_dominators:[ 2 ] ~forbidden:[] () in
+        let a0 = Dominating_set.solve_at c ~radius:0 in
+        let a1 = Dominating_set.solve_at ~max_size:1 c ~radius:1 in
+        let a1' = Dominating_set.solve_at c ~radius:1 in
+        let a2 = Dominating_set.solve_at c ~radius:2 in
+        [ a0; a1; a1'; a2 ])
+  in
+  Alcotest.(check (list (option (list int)))) "answers"
+    [ Some [ 0; 1; 3; 4 ]; None; Some [ 0; 3 ]; Some [] ]
+    answers;
+  check_int "shortcuts" 3 (count snap "dominating_set.shortcuts");
+  check_int "solves" 1 (count snap "set_cover.solves")
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "ncg_solver"
@@ -290,5 +403,12 @@ let () =
             test_mds_free_and_forbidden_interplay;
           Alcotest.test_case "disconnected" `Quick test_mds_disconnected;
           qt prop_mds_on_random_graphs;
+        ] );
+      ( "context",
+        [
+          Alcotest.test_case "radii must not decrease" `Quick
+            test_context_radii_must_not_decrease;
+          Alcotest.test_case "shortcuts counted" `Quick test_shortcuts_counted;
+          qt prop_context_matches_set_cover;
         ] );
     ]
